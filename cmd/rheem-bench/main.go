@@ -56,7 +56,6 @@ var all = []experiment{
 	{"fig10c", "exploratory mode on/off", experiments.Fig10c},
 	{"fig11", "Rheem vs Musketeer: CrocoPR", experiments.Fig11},
 	{"codec", "wire format: tagged JSON vs binary quantum codec", experiments.Codec},
-	{"fusion", "narrow-chain pipelines: fused vs per-operator execution", experiments.Fusion},
 	{"columnar", "columnar data plane: vectorized column kernels vs fused row path", experiments.Columnar},
 	{"distexec", "distributed stage execution: local vs loopback-peer dispatch", experiments.Distexec},
 	{"abl-prune", "ablation: lossless pruning vs exhaustive enumeration", experiments.AblationPruning},

@@ -1,14 +1,17 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"rheem/internal/core"
 	"rheem/internal/rescache"
 	"rheem/internal/telemetry"
 )
@@ -333,7 +336,7 @@ func TestRemoteFetchAndWritethrough(t *testing.T) {
 	}
 
 	quanta := []any{int64(1), "two", 3.0}
-	a.node.Store(context.Background(), fp, quanta, 42, 64, nil)
+	a.node.Store(context.Background(), fp, quanta, 42, nil)
 	if _, ok := b.cache.Get(fp); !ok {
 		t.Fatal("write-through did not land on the owner")
 	}
@@ -353,5 +356,53 @@ func TestRemoteFetchAndWritethrough(t *testing.T) {
 	b.stop()
 	if _, ok := a.node.Fetch(context.Background(), fp); ok {
 		t.Error("fetch from dead owner reported a hit")
+	}
+}
+
+// putEntry sends a write-through PUT for fp straight to the node's handler,
+// declaring the entry's size as 1 byte whatever it really is.
+func putEntry(t *testing.T, n *Node, fp string, quanta []any) int {
+	t.Helper()
+	var body bytes.Buffer
+	if err := core.WriteQuantaStream(&body, quanta); err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPut, "/v1/internal/cache/"+fp, &body)
+	req.SetPathValue("fp", fp)
+	req.Header.Set(headerBytes, "1")
+	rec := httptest.NewRecorder()
+	n.HandleCachePut(rec, req)
+	return rec.Code
+}
+
+func TestCachePutIgnoresDeclaredSize(t *testing.T) {
+	const maxBytes = 4 << 10
+	cache := rescache.New(rescache.Options{MaxBytes: maxBytes, Metrics: telemetry.NewRegistry()})
+	n := mustNode(t, Options{Advertise: "127.0.0.1:9999", Cache: cache, Metrics: telemetry.NewRegistry()})
+
+	// An entry larger than the whole cache, declared as 1 byte, must not be
+	// stored: the declaration would have let it bypass MaxBytes.
+	big := make([]any, 1000)
+	for i := range big {
+		big[i] = fmt.Sprintf("quantum-%04d-padding-padding", i)
+	}
+	if est, _ := rescache.EstimateBytes(big); est <= maxBytes {
+		t.Fatalf("test entry estimates %d bytes, want more than %d", est, maxBytes)
+	}
+	if code := putEntry(t, n, "fp-big", big); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized PUT answered %d, want 413", code)
+	}
+	if _, ok := cache.Get("fp-big"); ok {
+		t.Fatal("entry larger than MaxBytes was stored on a 1-byte declaration")
+	}
+
+	// An entry that fits is stored, sized by the owner's own estimate.
+	small := []any{int64(1), "two", 3.0}
+	if code := putEntry(t, n, "fp-small", small); code != http.StatusOK {
+		t.Fatalf("small PUT answered %d", code)
+	}
+	want, _ := rescache.EstimateBytes(small)
+	if got := cache.Stats(false).Bytes; got != want {
+		t.Fatalf("cache accounts %d bytes for the entry, want the estimate %d", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -92,7 +93,7 @@ func (n *Node) Fetch(ctx context.Context, fp string) (rescache.RemoteHit, bool) 
 // the owner is this peer: the caller already stored locally). Failures are
 // counted and dropped — the fleet loses affinity for the fingerprint, not
 // correctness.
-func (n *Node) Store(ctx context.Context, fp string, quanta []any, costMs float64, bytes int64, sources []core.SourceRef) {
+func (n *Node) Store(ctx context.Context, fp string, quanta []any, costMs float64, sources []core.SourceRef) {
 	owner := n.Owner(fp)
 	if owner == "" || owner == n.opts.Advertise {
 		return
@@ -108,7 +109,6 @@ func (n *Node) Store(ctx context.Context, fp string, quanta []any, costMs float6
 	}
 	req.Header.Set("Content-Type", quantaContentType)
 	req.Header.Set(headerCostMs, strconv.FormatFloat(costMs, 'g', -1, 64))
-	req.Header.Set(headerBytes, strconv.FormatInt(bytes, 10))
 	if len(sources) > 0 {
 		raw, err := json.Marshal(sources)
 		if err != nil {
@@ -184,15 +184,26 @@ func (n *Node) HandleCacheGet(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// HandleCachePut accepts a write-through from a non-owner peer.
+// HandleCachePut accepts a write-through from a non-owner peer. The owner
+// trusts nothing the sender declares about size: the body is capped at the
+// cache's own byte bound, and the entry is sized from the decoded quanta.
 func (n *Node) HandleCachePut(w http.ResponseWriter, r *http.Request) {
 	if n.opts.Cache == nil {
 		http.Error(w, "result cache is not enabled", http.StatusNotFound)
 		return
 	}
 	fp := r.PathValue("fp")
-	quanta, err := core.ReadQuantaStream(r.Body)
+	body := io.Reader(r.Body)
+	if max := n.opts.Cache.MaxBytes(); max > 0 {
+		body = http.MaxBytesReader(w, r.Body, max)
+	}
+	quanta, err := core.ReadQuantaStream(body)
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, "entry exceeds the cache's byte bound", http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, fmt.Sprintf("bad quanta stream: %v", err), http.StatusBadRequest)
 		return
 	}
@@ -204,14 +215,10 @@ func (n *Node) HandleCachePut(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	bytes, _ := strconv.ParseInt(r.Header.Get(headerBytes), 10, 64)
-	if bytes <= 0 {
-		est, ok := rescache.EstimateBytes(quanta)
-		if !ok {
-			http.Error(w, "un-cacheable quanta", http.StatusBadRequest)
-			return
-		}
-		bytes = est
+	bytes, ok := rescache.EstimateBytes(quanta)
+	if !ok {
+		http.Error(w, "un-cacheable quanta", http.StatusBadRequest)
+		return
 	}
 	stored := n.opts.Cache.Put(fp, quanta, costMs, bytes, sources)
 	w.Header().Set("Content-Type", "application/json")

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -710,12 +711,8 @@ func readBinarySegments(br *bufio.Reader) ([]Segment, error) {
 		if n > 1<<31 {
 			return nil, fmt.Errorf("%w: frame length %d", ErrCorruptQuantum, n)
 		}
-		if uint64(cap(frame)) < n {
-			frame = make([]byte, n)
-		}
-		frame = frame[:n]
-		if _, err := io.ReadFull(br, frame); err != nil {
-			return nil, fmt.Errorf("%w: truncated frame: %v", ErrCorruptQuantum, err)
+		if frame, err = readFrame(br, frame, int(n)); err != nil {
+			return nil, fmt.Errorf("%w: truncated frame: %w", ErrCorruptQuantum, err)
 		}
 		addCodecBytes(int(n))
 		q, err := DecodeQuantumBinary(frame)
@@ -729,6 +726,27 @@ func readBinarySegments(br *bufio.Reader) ([]Segment, error) {
 		}
 		rows = append(rows, q)
 	}
+}
+
+// readFrame reads an n-byte frame into buf's storage and returns it. The
+// buffer grows only as frame bytes actually arrive, at most doubling per
+// step, so a length prefix claiming far more than the stream holds cannot
+// make the reader allocate it up front.
+func readFrame(br *bufio.Reader, buf []byte, n int) ([]byte, error) {
+	const minGrow = 1 << 16
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(len(buf), minGrow)))
+		}
+		end := min(n, cap(buf))
+		got, err := io.ReadFull(br, buf[len(buf):end])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // ReadQuantaStreamSegments decodes a quanta stream like ReadQuantaStream but

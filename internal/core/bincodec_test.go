@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -176,6 +179,26 @@ func TestReadQuantaStreamTruncatedFrame(t *testing.T) {
 	}
 	if got, err := ReadQuantaStream(bytes.NewReader(full)); err != nil || len(got) != 3 {
 		t.Errorf("full stream: %v quanta, err %v", got, err)
+	}
+}
+
+// TestReadQuantaStreamHugeFrameLengthAllocatesLittle: a frame length
+// prefix is a claim, not a fact. The 9-byte stream of the magic plus a
+// 2^31 length must fail as corrupt without allocating the claimed 2 GiB.
+func TestReadQuantaStreamHugeFrameLengthAllocatesLittle(t *testing.T) {
+	stream := binary.AppendUvarint([]byte(BinaryQuantaMagic), 1<<31)
+	if len(stream) != 9 {
+		t.Fatalf("stream is %d bytes, want 9", len(stream))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadQuantaStream(bytes.NewReader(stream))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorruptQuantum) {
+		t.Fatalf("err = %v, want ErrCorruptQuantum", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("reading a 9-byte stream allocated %d bytes", grew)
 	}
 }
 

@@ -1,17 +1,11 @@
 package core
 
-import (
-	"os"
-	"sync/atomic"
-)
-
 // Pipeline fusion: narrow, stateless, single-input operators (map, filter,
-// flatmap, project) that follow each other on the same platform are compiled
-// into one single-pass kernel by the engines (see
-// internal/platform/driverutil/fuse.go). This file holds the pieces both the
-// optimizer and the engines need: the kind eligibility predicate and the
-// global kill switch, so cost estimation and execution always agree on
-// whether a chain fuses.
+// flatmap, project) run as compiled single-pass kernels by the engines (see
+// internal/platform/driverutil/fuse.go) — a run of them on the same platform
+// as one kernel, a lone one as a kernel of one step. The kind eligibility
+// predicate lives here because both the optimizer and the engines need it,
+// so cost estimation and execution always agree on what fuses.
 
 // FusibleKind reports whether k is a narrow, stateless, single-input
 // operator kind eligible for pipeline fusion. Distinct (stateful), MapPart
@@ -23,22 +17,3 @@ func FusibleKind(k Kind) bool {
 	}
 	return false
 }
-
-// fusionOff is the global fusion kill switch: 1 disables fusion everywhere
-// (engines fall back to per-operator execution and the optimizer stops
-// discounting chains). Seeded from RHEEM_NO_FUSE at startup.
-var fusionOff atomic.Bool
-
-func init() {
-	if os.Getenv("RHEEM_NO_FUSE") != "" {
-		fusionOff.Store(true)
-	}
-}
-
-// FusionDisabled reports whether pipeline fusion is globally disabled
-// (RHEEM_NO_FUSE, or SetFusionDisabled).
-func FusionDisabled() bool { return fusionOff.Load() }
-
-// SetFusionDisabled flips the global fusion kill switch; it exists for the
-// fused-vs-unfused crosscheck and benchmarks. Returns the previous value.
-func SetFusionDisabled(off bool) bool { return fusionOff.Swap(off) }

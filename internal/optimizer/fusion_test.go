@@ -30,30 +30,68 @@ func narrowPlan(n int) *core.Plan {
 	return p
 }
 
+// TestFusionDiscountLowersPlanCost checks that a same-platform narrow run
+// is priced as one dispatch. With the plan pinned to spark, raising every
+// narrow operator's fixed overhead by x must raise the plan cost by x once
+// — for the chain head, whose producer is a source — and not once per
+// operator: the three downstream operators ride the head's kernel.
 func TestFusionDiscountLowersPlanCost(t *testing.T) {
 	env := newTestEnv(t)
-
-	fusedPlan, err := Optimize(narrowPlan(5000), env.opts())
+	pinned := func() *core.Plan {
+		p := narrowPlan(5000)
+		for _, op := range p.Operators() {
+			op.TargetPlatform = "spark"
+		}
+		return p
+	}
+	base := env.opts()
+	base.Costs = DefaultCostTable(env.reg.Mappings.Platforms())
+	basePlan, err := Optimize(pinned(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	prev := core.SetFusionDisabled(true)
-	defer core.SetFusionDisabled(prev)
-	unfusedPlan, err := Optimize(narrowPlan(5000), env.opts())
+	const extra = 10.0 // fixed-overhead units added per narrow operator
+	raised := base
+	raised.Costs = base.Costs.Clone()
+	narrow := 0
+	for op, a := range basePlan.Assignments {
+		if !core.FusibleKind(op.Kind) {
+			continue
+		}
+		narrow++
+		for _, step := range a.Alt.Steps {
+			key := step.CostKeyOrName()
+			params, ok := base.Costs.Ops[key]
+			if !ok {
+				params = defaultParamsFor(key)
+			}
+			params.FixedOverhead += extra
+			raised.Costs.Ops[key] = params
+		}
+	}
+	if narrow != 4 {
+		t.Fatalf("expected 4 narrow assignments, got %d", narrow)
+	}
+	raisedPlan, err := Optimize(pinned(), raised)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// With fusion on, same-platform narrow adjacency gets the per-op fixed
-	// overhead discounted, so the chosen plan must cost strictly less.
-	if fused, unfused := fusedPlan.Cost.Geomean(), unfusedPlan.Cost.Geomean(); fused >= unfused {
-		t.Fatalf("fusion-aware cost %v not below fusion-blind cost %v", fused, unfused)
+	perOp := extra * base.Costs.Platforms["spark"].MsPerFixed
+	delta := raisedPlan.Cost.LowMs - basePlan.Cost.LowMs
+	if math.Abs(delta-perOp) > 1e-6 {
+		t.Fatalf("raising 4 fused narrow ops' overhead by %g ms each moved the plan cost by %g ms, want %g (one dispatch)",
+			perOp, delta, perOp)
 	}
 
 	// The discount only applies to same-platform producer/consumer pairs, so
-	// it must pull the whole narrow chain onto a single platform.
-	if platforms := fusedPlan.Platforms(); len(platforms) != 1 {
+	// left free it must pull the whole narrow chain onto a single platform.
+	freePlan, err := Optimize(narrowPlan(5000), env.opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if platforms := freePlan.Platforms(); len(platforms) != 1 {
 		t.Fatalf("narrow chain split across platforms: %v", platforms)
 	}
 }

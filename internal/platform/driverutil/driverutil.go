@@ -62,6 +62,8 @@ type Engine interface {
 	// incremented per output quantum, yields the operator's true output
 	// cardinality (lazy engines increment it as quanta stream by). sniff,
 	// when non-nil, must observe every output quantum (exploratory mode).
+	// Engines implementing ChainEngine never see a narrow operator here:
+	// those always run through ApplyChain.
 	Apply(op *core.Operator, in []Data, bc core.BroadcastCtx, round int, counter *int64, sniff func(any)) (Data, error)
 	// ToChannel materializes native data into the channel the stage's
 	// consumer expects. It is called for terminal operators only.
@@ -86,13 +88,14 @@ func runStage(e Engine, stage *core.Stage, in *core.Inputs) (map[*core.Operator]
 	counters := make(map[*core.Operator]*int64, len(stage.Ops))
 	opTimes := make(map[*core.Operator]time.Duration, len(stage.Ops))
 
-	// Plan pipeline fusion: engines that implement ChainEngine run maximal
-	// narrow-operator chains as single-pass kernels instead of one Apply
-	// (and one intermediate materialization) per operator.
+	// Plan pipeline fusion: engines that implement ChainEngine run every
+	// narrow operator inside a maximal chain compiled to a single-pass
+	// kernel — a lone one as a chain of one — instead of one Apply (and one
+	// intermediate materialization) per operator.
 	var chains map[*core.Operator]*FusedChain
 	var covered map[*core.Operator]bool
 	ce, canFuse := e.(ChainEngine)
-	if canFuse && !core.FusionDisabled() {
+	if canFuse {
 		chains, covered = PlanFusion(stage)
 	}
 	var fusedChains [][]*core.Operator
@@ -200,8 +203,8 @@ func runStage(e Engine, stage *core.Stage, in *core.Inputs) (map[*core.Operator]
 // runChain resolves the chain head's input, opens every chain operator's
 // UDF with its broadcast context, compiles the kernel, and hands the whole
 // chain to the engine. The tail's output lands in results; per-op counters
-// are registered for all chain operators so cardinality accounting matches
-// unfused execution.
+// are registered for all chain operators so cardinalities stay
+// per-operator.
 func runChain(e Engine, ce ChainEngine, stage *core.Stage, chain *FusedChain, in *core.Inputs,
 	results map[*core.Operator]Data, counters map[*core.Operator]*int64) (*VectorKernel, time.Duration, error) {
 	ins, err := resolveInputs(e, stage, chain.Head(), in, results)
@@ -228,9 +231,9 @@ func runChain(e Engine, ce ChainEngine, stage *core.Stage, chain *FusedChain, in
 	}
 	kernel := CompileVector(chain.Ops, chain.Agg, rowKernel)
 	// Exploratory-mode sniffers observe inside the kernel, at each step's
-	// emission points. The unfused engines call sniffers from one goroutine
-	// at a time; a per-chain mutex preserves that contract when the kernel
-	// runs on parallel partitions.
+	// emission points. Sniffers are called from one goroutine at a time; a
+	// per-chain mutex preserves that contract when the kernel runs on
+	// parallel partitions.
 	if stage.Sniffers != nil {
 		var sniffMu sync.Mutex
 		for i, op := range chain.Ops {

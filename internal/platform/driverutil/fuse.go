@@ -12,9 +12,10 @@ import (
 // (map / filter / flatmap / project) inside a stage and CompileChain turns
 // each into a single-pass kernel: one closure applies the whole chain per
 // quantum, with filter compaction happening in place in a single output
-// buffer sized from the input partition. Engines that can run such kernels
-// implement ChainEngine; runStage hands them whole chains instead of one
-// operator at a time.
+// buffer sized from the input partition. A lone narrow operator is a chain
+// of one, so the kernel is the only executor of narrow operators: engines
+// that run them implement ChainEngine and runStage hands them whole chains,
+// never a narrow operator on its own.
 
 // FusedChain is a maximal run of fusible operators inside one stage, in
 // dataflow order, optionally terminated by an absorbed declarative
@@ -120,9 +121,9 @@ func isTerminal(stage *core.Stage, op *core.Operator) bool {
 // exactly next (single consumer, not a terminal output) and next is a
 // fusible operator consuming only cur. A declarative reduce-by directly
 // downstream of the chain is absorbed as its Agg terminator, so engines
-// aggregate the kernel's survivors without materializing them; chains are
-// kept only when they fuse at least two narrow ops or end in an absorbed
-// aggregation.
+// aggregate the kernel's survivors without materializing them. Every
+// fusible operator lands in exactly one chain; a lone one is a chain of
+// length one.
 func PlanFusion(stage *core.Stage) (chains map[*core.Operator]*FusedChain, covered map[*core.Operator]bool) {
 	chains = map[*core.Operator]*FusedChain{}
 	covered = map[*core.Operator]bool{}
@@ -147,9 +148,6 @@ func PlanFusion(stage *core.Stage) (chains map[*core.Operator]*FusedChain, cover
 			cur = next
 		}
 		agg := absorbableAgg(stage, cur)
-		if len(chain) < 2 && agg == nil {
-			continue
-		}
 		chains[op] = &FusedChain{Ops: chain, Agg: agg}
 		for _, c := range chain[1:] {
 			covered[c] = true
@@ -164,8 +162,8 @@ func PlanFusion(stage *core.Stage) (chains map[*core.Operator]*FusedChain, cover
 // absorbableAgg returns the declarative reduce-by that can terminate a chain
 // ending at cur: cur's sole consumer, in-stage, single-input, carrying a
 // ReduceExpr, and unsniffed (a sniffer must observe the reduce-by's output
-// quanta one at a time, which only the unfused path provides — absorbed
-// aggregations finalize whole groups at once).
+// quanta one at a time, which only the engine's per-operator reduce-by
+// provides — absorbed aggregations finalize whole groups at once).
 func absorbableAgg(stage *core.Stage, cur *core.Operator) *core.Operator {
 	if isTerminal(stage, cur) || len(cur.Outputs()) != 1 {
 		return nil
@@ -238,11 +236,10 @@ func CompileChain(ops []*core.Operator) (*FusedKernel, error) {
 func (k *FusedKernel) Len() int { return len(k.steps) }
 
 // SetSniff attaches an observer to step i: it is invoked once per quantum
-// the step emits, mirroring the unfused engines' sniffer contract. Engines
-// may run the kernel from several goroutines, and the unfused paths call
-// sniffers from a single goroutine at a time — the caller must pass a
-// function that provides its own serialization (runChain wraps the stage
-// sniffer in a per-chain mutex). Set sniffs before handing the kernel to
+// the step emits. Engines may run the kernel from several goroutines, and
+// sniffers are called from a single goroutine at a time — the caller must
+// pass a function that provides its own serialization (runChain wraps the
+// stage sniffer in a per-chain mutex). Set sniffs before handing the kernel to
 // ApplyChain; the kernel itself is read-only during Run.
 func (k *FusedKernel) SetSniff(i int, fn func(any)) { k.steps[i].sniff = fn }
 
@@ -268,8 +265,8 @@ func (k *FusedKernel) StepSniff(i int) func(any) { return k.steps[i].sniff }
 
 // Run applies the whole chain to one partition in a single pass. counts, if
 // non-nil, must have Len() entries; counts[i] is incremented once per
-// quantum the i-th step emits, yielding the same per-operator output
-// cardinalities as unfused execution. buf, when non-nil, is reused as the
+// quantum the i-th step emits, yielding per-operator output
+// cardinalities. buf, when non-nil, is reused as the
 // output buffer (appended-to from length 0 by the caller's convention:
 // pass buf[:0]); otherwise a fresh buffer with the input partition's
 // capacity is allocated. Filtered-out quanta are simply never appended, so

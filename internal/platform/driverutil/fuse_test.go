@@ -43,12 +43,19 @@ func TestPlanFusionDetectsMaximalChain(t *testing.T) {
 	if covered[m1] || !covered[f1] || !covered[m2] {
 		t.Fatalf("coverage wrong: %v", covered)
 	}
-	// src (not fusible), rb (wide), m3 (chain of one) and sink must not root
-	// chains; m3 alone is below the minimum chain length.
-	for _, op := range []*core.Operator{src, rb, m3, ops[6]} {
+	// m3 sits alone between the wide rb and the sink: it runs as a one-op
+	// chain, since the kernel is the only executor of narrow operators.
+	if lone := chains[m3]; lone == nil || !reflect.DeepEqual(lone.Ops, []*core.Operator{m3}) || lone.Agg != nil {
+		t.Fatalf("chain at m3 = %v, want the one-op chain m3", lone)
+	}
+	// src (not fusible), rb (wide) and sink must not root chains.
+	for _, op := range []*core.Operator{src, rb, ops[6]} {
 		if chains[op] != nil {
 			t.Fatalf("unexpected chain rooted at %s", op)
 		}
+	}
+	if len(chains) != 2 {
+		t.Fatalf("chains = %v, want m1 → f1 → m2 and m3", chains)
 	}
 	if covered[m3] || covered[rb] {
 		t.Fatalf("rb/m3 wrongly covered: %v", covered)
@@ -85,9 +92,16 @@ func TestPlanFusionStopsAtFanOut(t *testing.T) {
 	stage := &core.Stage{ID: 1, Platform: "test",
 		Ops:          []*core.Operator{src, m1, m2, s1, s2},
 		TerminalOuts: []*core.Operator{s1, s2}}
-	chains, _ := PlanFusion(stage)
-	if len(chains) != 0 {
-		t.Fatalf("fan-out must break fusion, got chains %v", chains)
+	chains, covered := PlanFusion(stage)
+	// m1 feeds two consumers, so it cannot fuse into m2: each runs as its
+	// own one-op chain.
+	if len(chains) != 2 || len(covered) != 0 {
+		t.Fatalf("fan-out must break fusion into one-op chains, got chains %v covered %v", chains, covered)
+	}
+	for _, op := range []*core.Operator{m1, m2} {
+		if c := chains[op]; c == nil || !reflect.DeepEqual(c.Ops, []*core.Operator{op}) {
+			t.Fatalf("chain at %s = %v, want the one-op chain", op, c)
+		}
 	}
 }
 

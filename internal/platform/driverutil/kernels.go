@@ -274,27 +274,6 @@ func IEJoinSlices(op *core.Operator, left, right []any) ([]any, error) {
 	return out, nil
 }
 
-// Project applies record projection by column indexes.
-func Project(op *core.Operator, data []any) ([]any, error) {
-	cols := op.Params.Columns
-	if cols == nil {
-		return data, nil
-	}
-	out := make([]any, len(data))
-	for i, q := range data {
-		rec, ok := q.(core.Record)
-		if !ok {
-			return nil, fmt.Errorf("project %s: quantum %T is not a Record", op, q)
-		}
-		proj := make(core.Record, len(cols))
-		for j, c := range cols {
-			proj[j] = rec[c]
-		}
-		out[i] = proj
-	}
-	return out, nil
-}
-
 // FormatOf returns op's text formatter, defaulting to fmt.Sprint.
 func FormatOf(op *core.Operator) func(any) string {
 	if op.UDF.Format != nil {

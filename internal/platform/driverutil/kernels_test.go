@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -225,10 +226,37 @@ func TestSampleMethods(t *testing.T) {
 	}
 }
 
+// sliceEngine runs stages over plain slices. Like the real engines it
+// executes narrow operators only through ApplyChain; Apply refuses them.
+type sliceEngine struct{}
+
+func (sliceEngine) FromChannel(ch *core.Channel) (Data, error) { return ChannelSlice(ch) }
+func (sliceEngine) Apply(op *core.Operator, in []Data, bc core.BroadcastCtx, round int, counter *int64, sniff func(any)) (Data, error) {
+	return nil, fmt.Errorf("unsupported operator kind %s", op.Kind)
+}
+func (sliceEngine) ApplyChain(chain *FusedChain, kernel *VectorKernel, in Data, counters []*int64) (Data, error) {
+	counts := make([]int64, kernel.Len())
+	out := kernel.Run(in.([]any), counts, nil)
+	for i, c := range counts {
+		*counters[i] += c
+	}
+	return out, nil
+}
+func (sliceEngine) ToChannel(op *core.Operator, d Data) (*core.Channel, error) {
+	data := d.([]any)
+	return core.NewChannel(core.CollectionChannel, core.NewSliceDataset(data), int64(len(data))), nil
+}
+
 func TestProjectErrorsOnNonRecords(t *testing.T) {
+	// A lone projection runs as a one-op kernel; a non-Record quantum fails
+	// the stage with the projection's type error.
 	op := &core.Operator{Kind: core.KindProject, Params: core.Params{Columns: []int{0}}}
-	if _, err := Project(op, []any{"not a record"}); err == nil {
-		t.Fatal("expected type error")
+	stage := &core.Stage{ID: 1, Platform: "test", Ops: []*core.Operator{op}, TerminalOuts: []*core.Operator{op}}
+	in := core.NewInputs()
+	in.SetMain(op, 0, core.NewChannel(core.CollectionChannel, core.NewSliceDataset([]any{"not a record"}), 1))
+	_, _, err := RunStage(sliceEngine{}, stage, in)
+	if err == nil || !strings.Contains(err.Error(), "is not a Record") {
+		t.Fatalf("err = %v, want the projection type error", err)
 	}
 }
 

@@ -244,9 +244,12 @@ func (k *VectorKernel) prefixSniffed() bool {
 var selPool = sync.Pool{New: func() any { return new([]int) }}
 var rowBufPool = sync.Pool{New: func() any { return new([]any) }}
 
+// getSel returns a pooled selection buffer with capacity n. The buffer is
+// never nil, even at n == 0: a filter that keeps nothing must hand on an
+// empty selection, and a nil one would mean "all rows" to the next step.
 func getSel(n int) *[]int {
 	sb := selPool.Get().(*[]int)
-	if cap(*sb) < n {
+	if *sb == nil || cap(*sb) < n {
 		*sb = make([]int, 0, n)
 	}
 	return sb

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"rheem/internal/core"
@@ -175,6 +176,19 @@ func TestVectorKernelDropAllDropNothing(t *testing.T) {
 	}
 	if counts[0] != 3 || counts[1] != 3 {
 		t.Fatalf("drop-nothing counts = %v", counts)
+	}
+
+	// Drop-all then keep-all: the empty selection must stay empty when the
+	// selection pool hands out a fresh buffer (two GCs empty a sync.Pool).
+	f.Params.Where = &core.Predicate{Col: core.WholeQuantum, Op: core.PredLt, Value: int64(0)}
+	keep := p.NewOperator(core.KindFilter, "keep")
+	keep.Params.Where = &core.Predicate{Col: core.WholeQuantum, Op: core.PredGt, Value: int64(-100)}
+	k3, _ := compileBoth(t, []*core.Operator{f, keep})
+	runtime.GC()
+	runtime.GC()
+	counts = make([]int64, 2)
+	if out := k3.Run(part, counts, nil); len(out) != 0 || counts[1] != 0 {
+		t.Fatalf("drop-all then keep-all emitted %v (counts %v)", out, counts)
 	}
 }
 

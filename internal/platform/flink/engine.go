@@ -378,7 +378,7 @@ const fuseBatch = 256
 // single goroutine pipeline segment per instance. Quanta are batched into
 // vectors of fuseBatch and pushed through the compiled kernel in one pass;
 // per-step counts transfer to the shared counters when the segment drains,
-// bypassing the per-quantum countMu of the unfused path entirely.
+// bypassing the per-quantum countMu of the per-operator Apply path entirely.
 func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, in driverutil.Data, counters []*int64) (driverutil.Data, error) {
 	f, ok := in.(*flow)
 	if !ok {
@@ -576,43 +576,6 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 		}
 		return sliceFlow(partition(data, w).Parts), nil
 
-	case core.KindMap:
-		if op.UDF.Map == nil {
-			return nil, fmt.Errorf("map %s lacks a UDF", op)
-		}
-		f := op.UDF.Map
-		return in[0].narrow(in[0].card, func(src <-chan any, out chan<- any) {
-			for q := range src {
-				out <- f(q)
-			}
-		}), nil
-
-	case core.KindFilter:
-		pred, err := driverutil.PredOf(op)
-		if err != nil {
-			return nil, err
-		}
-		return in[0].narrow(-1, func(src <-chan any, out chan<- any) {
-			for q := range src {
-				if pred(q) {
-					out <- q
-				}
-			}
-		}), nil
-
-	case core.KindFlatMap:
-		if op.UDF.FlatMap == nil {
-			return nil, fmt.Errorf("flatmap %s lacks a UDF", op)
-		}
-		f := op.UDF.FlatMap
-		return in[0].narrow(-1, func(src <-chan any, out chan<- any) {
-			for q := range src {
-				for _, r := range f(q) {
-					out <- r
-				}
-			}
-		}), nil
-
 	case core.KindMapPart:
 		if op.UDF.MapPart == nil {
 			return nil, fmt.Errorf("map-partitions %s lacks a UDF", op)
@@ -760,15 +723,6 @@ func (e *engine) apply(op *core.Operator, in []*flow, round int) (*flow, error) 
 
 	case core.KindCache:
 		return sliceFlow(in[0].materialize()), nil
-
-	case core.KindProject:
-		out, err := parallelParts(in[0].materialize(), func(part []any) ([]any, error) {
-			return driverutil.Project(op, part)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return sliceFlow(out), nil
 
 	case core.KindJoin:
 		if op.UDF.Key == nil {

@@ -45,7 +45,7 @@ func Run(t *testing.T, d core.Driver, opts Options) {
 
 	run(core.KindMap, "Map", func(t *testing.T) {
 		op := &core.Operator{Kind: core.KindMap, UDF: core.UDFs{Map: func(q any) any { return q.(int64) * 10 }}}
-		got := SortedInts(t, RunOp(t, d, op, CollectionChannel(int64(1), int64(2), int64(3))))
+		got := SortedInts(t, runLone(t, d, op, CollectionChannel(int64(1), int64(2), int64(3))))
 		if !reflect.DeepEqual(got, []int64{10, 20, 30}) {
 			t.Fatalf("got %v", got)
 		}
@@ -53,7 +53,7 @@ func Run(t *testing.T, d core.Driver, opts Options) {
 
 	run(core.KindFilter, "Filter", func(t *testing.T) {
 		op := &core.Operator{Kind: core.KindFilter, UDF: core.UDFs{Pred: func(q any) bool { return q.(int64)%2 == 0 }}}
-		got := SortedInts(t, RunOp(t, d, op, CollectionChannel(int64(1), int64(2), int64(3), int64(4))))
+		got := SortedInts(t, runLone(t, d, op, CollectionChannel(int64(1), int64(2), int64(3), int64(4))))
 		if !reflect.DeepEqual(got, []int64{2, 4}) {
 			t.Fatalf("got %v", got)
 		}
@@ -64,7 +64,7 @@ func Run(t *testing.T, d core.Driver, opts Options) {
 			n := q.(int64)
 			return []any{n, n}
 		}}}
-		got := SortedInts(t, RunOp(t, d, op, CollectionChannel(int64(1), int64(2))))
+		got := SortedInts(t, runLone(t, d, op, CollectionChannel(int64(1), int64(2))))
 		if !reflect.DeepEqual(got, []int64{1, 1, 2, 2}) {
 			t.Fatalf("got %v", got)
 		}
@@ -205,7 +205,7 @@ func Run(t *testing.T, d core.Driver, opts Options) {
 
 	run(core.KindProject, "Project", func(t *testing.T) {
 		op := &core.Operator{Kind: core.KindProject, Params: core.Params{Columns: []int{2, 0}}}
-		got := RunOp(t, d, op, CollectionChannel(core.Record{int64(1), "a", int64(9)}))
+		got := runLone(t, d, op, CollectionChannel(core.Record{int64(1), "a", int64(9)}))
 		if len(got) != 1 || !reflect.DeepEqual(got[0], core.Record{int64(9), int64(1)}) {
 			t.Fatalf("got %v", got)
 		}
@@ -405,4 +405,40 @@ func Run(t *testing.T, d core.Driver, opts Options) {
 			t.Fatalf("sniffed %d quanta, want 2", len(sniffed))
 		}
 	})
+}
+
+// runLone executes a lone narrow operator as a one-op stage with a sniffer
+// attached and checks that it ran the single narrow-operator path: one
+// fused chain holding just op, an output cardinality equal to the output
+// size, and a sniffer that saw exactly the output quanta.
+func runLone(t *testing.T, d core.Driver, op *core.Operator, inputs ...*core.Channel) []any {
+	t.Helper()
+	var sniffed []any
+	stage := &core.Stage{
+		ID: 1, Platform: d.Name(),
+		Ops: []*core.Operator{op}, TerminalOuts: []*core.Operator{op},
+		Sniffers: map[*core.Operator]func(any){op: func(q any) { sniffed = append(sniffed, q) }},
+	}
+	in := core.NewInputs()
+	for port, ch := range inputs {
+		in.SetMain(op, port, ch)
+	}
+	outs, stats, err := d.Execute(stage, in)
+	if err != nil {
+		t.Fatalf("%s on %s: %v", op, d.Name(), err)
+	}
+	got, err := channelData(outs[op])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats.FusedChains) != 1 || !reflect.DeepEqual(stats.FusedChains[0], []*core.Operator{op}) {
+		t.Fatalf("%s on %s: fused chains %v, want one chain holding just the operator", op, d.Name(), stats.FusedChains)
+	}
+	if stats.OutCards[op] != int64(len(got)) {
+		t.Fatalf("%s on %s: out card %d, output has %d quanta", op, d.Name(), stats.OutCards[op], len(got))
+	}
+	if a, b := SortedStrings(sniffed), SortedStrings(got); !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s on %s: sniffer saw %v, output is %v", op, d.Name(), a, b)
+	}
+	return got
 }

@@ -378,11 +378,18 @@ func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.Broadcas
 	return out, nil
 }
 
-// ApplyChain implements driverutil.ChainEngine. A chain whose head is a
-// declarative filter over a base table keeps the indexed-scan push-down of
-// the unfused path (the index narrows the scan before any row reaches the
+// ApplyChain implements driverutil.ChainEngine; it is the store's only
+// filter and projection executor. Only those two narrow kinds are
+// relational: a chain carrying a map or flatmap UDF is refused. A chain
+// whose head is a declarative filter over a base table scans through the
+// table's index (the index narrows the scan before any row reaches the
 // kernel); the remaining steps fuse over the scan result in one pass.
 func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.VectorKernel, in driverutil.Data, counters []*int64) (driverutil.Data, error) {
+	for _, op := range chain.Ops {
+		if op.Kind != core.KindFilter && op.Kind != core.KindProject {
+			return nil, fmt.Errorf("relstore: unsupported operator kind %s (relational platform)", op.Kind)
+		}
+	}
 	r, ok := in.(*rel)
 	if !ok {
 		return nil, fmt.Errorf("relstore: fused chain input is %T", in)
@@ -423,7 +430,7 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 	if agg := kernel.Agg(); agg != nil {
 		// Single worker set, no exchange: absorb the (possibly pushed-down)
 		// rows and finalize in first-occurrence order — identical to the
-		// unfused hash-agg over the same rows.
+		// per-operator hash-agg over the same rows.
 		st := core.NewAggState(agg)
 		kernel.RunAgg(rows, counts, st)
 		out := st.Finalize(nil)
@@ -463,50 +470,6 @@ func (e *engine) apply(op *core.Operator, in []*rel) (*rel, error) {
 			rows[i] = r
 		}
 		return &rel{rows: rows}, nil
-
-	case core.KindFilter:
-		// A declarative predicate over a base table uses its index.
-		if op.Params.Where != nil && in[0].ref != nil {
-			t, err := in[0].ref.Store.Table(in[0].ref.Table)
-			if err != nil {
-				return nil, err
-			}
-			recs, err := t.Scan(nil, op.Params.Where, w)
-			if err != nil {
-				return nil, err
-			}
-			rows := make([]any, len(recs))
-			for i, r := range recs {
-				rows[i] = r
-			}
-			return &rel{rows: rows}, nil
-		}
-		pred, err := driverutil.PredOf(op)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := e.rowsOf(in[0])
-		if err != nil {
-			return nil, err
-		}
-		var out []any
-		for _, q := range rows {
-			if pred(q) {
-				out = append(out, q)
-			}
-		}
-		return &rel{rows: out}, nil
-
-	case core.KindProject:
-		rows, err := e.rowsOf(in[0])
-		if err != nil {
-			return nil, err
-		}
-		out, err := driverutil.Project(op, rows)
-		if err != nil {
-			return nil, err
-		}
-		return &rel{rows: out}, nil
 
 	case core.KindJoin:
 		l, err := e.rowsOf(in[0])

@@ -317,7 +317,7 @@ func (e *engine) Apply(op *core.Operator, in []driverutil.Data, bc core.Broadcas
 		if !ok {
 			return nil, fmt.Errorf("spark: %s input %d is %T, not an RDD", op, i, d)
 		}
-		ins[i] = r.materialize() // unfused operators are row-oriented
+		ins[i] = r.materialize() // per-operator kernels are row-oriented
 	}
 	out, err := e.apply(op, ins, round)
 	if err != nil {
@@ -423,57 +423,11 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 	case core.KindTextFileSource:
 		return e.readTextFile(op.Params.Path)
 
-	case core.KindMap:
-		if op.UDF.Map == nil {
-			return nil, fmt.Errorf("map %s lacks a UDF", op)
-		}
-		f := op.UDF.Map
-		return in[0].mapPartitions(w, func(part []any) []any {
-			out := make([]any, len(part))
-			for i, q := range part {
-				out[i] = f(q)
-			}
-			return out
-		}), nil
-
-	case core.KindFilter:
-		pred, err := driverutil.PredOf(op)
-		if err != nil {
-			return nil, err
-		}
-		return in[0].mapPartitions(w, func(part []any) []any {
-			var out []any
-			for _, q := range part {
-				if pred(q) {
-					out = append(out, q)
-				}
-			}
-			return out
-		}), nil
-
-	case core.KindFlatMap:
-		if op.UDF.FlatMap == nil {
-			return nil, fmt.Errorf("flatmap %s lacks a UDF", op)
-		}
-		f := op.UDF.FlatMap
-		return in[0].mapPartitions(w, func(part []any) []any {
-			var out []any
-			for _, q := range part {
-				out = append(out, f(q)...)
-			}
-			return out
-		}), nil
-
 	case core.KindMapPart:
 		if op.UDF.MapPart == nil {
 			return nil, fmt.Errorf("map-partitions %s lacks a UDF", op)
 		}
 		return in[0].mapPartitions(w, op.UDF.MapPart), nil
-
-	case core.KindProject:
-		return e.mapPartsErr(in[0], func(part []any) ([]any, error) {
-			return driverutil.Project(op, part)
-		})
 
 	case core.KindZipWithID:
 		// Deterministic global ids: offset by partition prefix counts.
@@ -550,18 +504,24 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 		if op.UDF.Key == nil || op.UDF.Reduce == nil {
 			return nil, fmt.Errorf("reduce-by %s lacks key or reduce UDF", op)
 		}
-		// Map-side combine, shuffle, reduce-side final combine.
-		combined, err := e.mapPartsErr(in[0], func(part []any) ([]any, error) {
-			return driverutil.ReduceByKey(op, part)
+		// Map-side combine, shuffle, reduce-side final combine. Each partial
+		// travels with the key of the quanta it folds, like Spark's
+		// reduceByKey over pairs: a reduce UDF whose result carries another
+		// key must not regroup its partial under that key.
+		combined := in[0].mapPartitions(w, func(part []any) []any {
+			keys, vals := combineByKey(op, part, false)
+			pairs := make([]any, len(keys))
+			for i, k := range keys {
+				pairs[i] = core.KV{Key: k, Value: vals[i]}
+			}
+			return pairs
 		})
-		if err != nil {
-			return nil, err
-		}
 		e.shuffleBarrier()
-		shuffled := combined.shuffleBy(w, len(in[0].Parts), op.UDF.Key)
-		return e.mapPartsErr(shuffled, func(part []any) ([]any, error) {
-			return driverutil.ReduceByKey(op, part)
-		})
+		shuffled := combined.shuffleBy(w, len(in[0].Parts), func(q any) any { return q.(core.KV).Key })
+		return shuffled.mapPartitions(w, func(part []any) []any {
+			_, vals := combineByKey(op, part, true)
+			return vals
+		}), nil
 
 	case core.KindGroupBy:
 		if op.UDF.Key == nil {
@@ -689,6 +649,32 @@ func (e *engine) apply(op *core.Operator, in []*RDD, round int) (*RDD, error) {
 	default:
 		return nil, fmt.Errorf("spark: unsupported operator kind %s", op.Kind)
 	}
+}
+
+// combineByKey folds the quanta of part that share a key with op's reduce
+// UDF and returns the distinct keys with their folded values, in
+// first-occurrence order. With keyed set, part holds core.KV pairs (the
+// shuffled map-side partials) and their carried keys are used.
+func combineByKey(op *core.Operator, part []any, keyed bool) (keys, vals []any) {
+	slot := map[any]int{}
+	for _, q := range part {
+		var k, v any
+		if keyed {
+			kv := q.(core.KV)
+			k, v = kv.Key, kv.Value
+		} else {
+			k, v = op.UDF.Key(q), q
+		}
+		g := core.GroupKey(k)
+		if i, ok := slot[g]; ok {
+			vals[i] = op.UDF.Reduce(vals[i], v)
+			continue
+		}
+		slot[g] = len(vals)
+		keys = append(keys, k)
+		vals = append(vals, v)
+	}
+	return keys, vals
 }
 
 func (e *engine) mapPartsErr(r *RDD, fn func(part []any) ([]any, error)) (*RDD, error) {

@@ -377,61 +377,6 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) 
 		}
 		return slicePipe(lines), nil
 
-	case core.KindMap:
-		if op.UDF.Map == nil {
-			return nil, fmt.Errorf("map %s lacks a UDF", op)
-		}
-		f := op.UDF.Map
-		return lazyUnary(in[0], func(it core.Iterator) core.Iterator {
-			return core.FuncIterator(func() (any, bool) {
-				q, ok := it.Next()
-				if !ok {
-					return nil, false
-				}
-				return f(q), true
-			})
-		}, in[0].card), nil
-
-	case core.KindFilter:
-		pred, err := driverutil.PredOf(op)
-		if err != nil {
-			return nil, err
-		}
-		return lazyUnary(in[0], func(it core.Iterator) core.Iterator {
-			return core.FuncIterator(func() (any, bool) {
-				for {
-					q, ok := it.Next()
-					if !ok {
-						return nil, false
-					}
-					if pred(q) {
-						return q, true
-					}
-				}
-			})
-		}, -1), nil
-
-	case core.KindFlatMap:
-		if op.UDF.FlatMap == nil {
-			return nil, fmt.Errorf("flatmap %s lacks a UDF", op)
-		}
-		f := op.UDF.FlatMap
-		return lazyUnary(in[0], func(it core.Iterator) core.Iterator {
-			var buf []any
-			return core.FuncIterator(func() (any, bool) {
-				for len(buf) == 0 {
-					q, ok := it.Next()
-					if !ok {
-						return nil, false
-					}
-					buf = f(q)
-				}
-				q := buf[0]
-				buf = buf[1:]
-				return q, true
-			})
-		}, -1), nil
-
 	case core.KindMapPart:
 		if op.UDF.MapPart == nil {
 			return nil, fmt.Errorf("map-partitions %s lacks a UDF", op)
@@ -503,13 +448,6 @@ func (e *engine) apply(op *core.Operator, in []*pipe, round int) (*pipe, error) 
 
 	case core.KindCache:
 		return slicePipe(in[0].materialize()), nil
-
-	case core.KindProject:
-		out, err := driverutil.Project(op, in[0].materialize())
-		if err != nil {
-			return nil, err
-		}
-		return slicePipe(out), nil
 
 	case core.KindJoin:
 		out, err := driverutil.HashJoin(op, in[0].materialize(), in[1].materialize())

@@ -30,7 +30,7 @@ type RemoteHit struct {
 // caller recomputes in every one of those cases.
 type RemoteTier interface {
 	Fetch(ctx context.Context, fp string) (RemoteHit, bool)
-	Store(ctx context.Context, fp string, quanta []any, costMs float64, bytes int64, sources []core.SourceRef)
+	Store(ctx context.Context, fp string, quanta []any, costMs float64, sources []core.SourceRef)
 }
 
 // SetRemote attaches the fleet tier. Call once at startup, before traffic.

@@ -196,6 +196,10 @@ func New(opts Options) *Cache {
 // MinCostMs returns the configured caching cost threshold.
 func (c *Cache) MinCostMs() float64 { return c.opts.MinCostMs }
 
+// MaxBytes returns the configured in-memory byte bound (zero or negative:
+// unbounded).
+func (c *Cache) MaxBytes() int64 { return c.opts.MaxBytes }
+
 // SourceVersion returns the current version of a named source dataset (for
 // core.FingerprintOptions.SourceVersion). Never-invalidated sources are
 // version 0.

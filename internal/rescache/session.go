@@ -284,7 +284,7 @@ func (c *Cache) StoreResult(ctx context.Context, co *core.CacheOut, quanta []any
 	// Write-through happens even when the local tier rejected the entry
 	// (capacity budgets differ per peer); the owner decides for itself.
 	if remote := c.remoteTier(); remote != nil {
-		remote.Store(ctx, co.Fingerprint, quanta, co.CostMs, bytes, co.Sources)
+		remote.Store(ctx, co.Fingerprint, quanta, co.CostMs, co.Sources)
 	}
 	return bytes, admitted
 }

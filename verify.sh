@@ -27,16 +27,14 @@ go test -race $short ./...
 # Benchmark smoke: one iteration of the codec benchmarks, so they compile
 # and run even when nobody records numbers.
 go test -run=NONE -bench=BenchmarkEncodeQuantum -benchtime=1x ./internal/core
-# Fusion smoke: one iteration of the narrow-chain benchmarks (fused and
-# unfused paths both execute) and of the columnar agg-chain benchmark (the
-# vectorized grouped-aggregation kernel and its row twin both execute),
-# plus the fused-vs-unfused differential
-# crosscheck with fusion force-disabled via the environment kill switch —
-# proving RHEEM_NO_FUSE=1 and the default path produce identical sink
-# output.
+# Fusion smoke: one iteration of the fused narrow-chain benchmarks and of
+# the columnar agg-chain benchmark (the vectorized grouped-aggregation
+# kernel and its row twin both execute), plus the crosschecks of the fused
+# narrow-operator executor against the plain-Go plan interpreter (random
+# plans and the Figure-9 pipeline, pinned to streams, spark and flink and
+# under optimizer choice).
 go test -run=NONE -bench='NarrowChain|ColumnarAggChain' -benchtime=1x ./internal/platform/spark ./internal/platform/flink
-RHEEM_NO_FUSE=1 go test -run='TestCrossCheckFusedAgainstUnfused|TestFusedFig9' .
-go test -run='TestCrossCheckFusedAgainstUnfused|TestFusedFig9' .
+go test -count=1 -run='TestCrossCheckFusedAgainstUnfused|TestFusedFig9' .
 # Columnar smoke: the columnar-vs-row differential crosschecks (random
 # declarative plans, every engine pinned, relstore pushdown) run twice —
 # default, and with the columnar data plane force-disabled via the
