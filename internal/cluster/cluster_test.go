@@ -369,7 +369,7 @@ func putEntry(t *testing.T, n *Node, fp string, quanta []any) int {
 	}
 	req := httptest.NewRequest(http.MethodPut, "/v1/internal/cache/"+fp, &body)
 	req.SetPathValue("fp", fp)
-	req.Header.Set(headerBytes, "1")
+	req.Header.Set("X-Rheem-Bytes", "1")
 	rec := httptest.NewRecorder()
 	n.HandleCachePut(rec, req)
 	return rec.Code
@@ -404,5 +404,69 @@ func TestCachePutIgnoresDeclaredSize(t *testing.T) {
 	want, _ := rescache.EstimateBytes(small)
 	if got := cache.Stats(false).Bytes; got != want {
 		t.Fatalf("cache accounts %d bytes for the entry, want the estimate %d", got, want)
+	}
+}
+
+// fakeOwner serves every cache GET with quanta, declaring the entry's size
+// as 1 byte whatever it really is.
+func fakeOwner(t *testing.T, quanta []any) string {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", quantaContentType)
+		w.Header().Set("X-Rheem-Bytes", "1")
+		w.Header().Set(headerCostMs, "42")
+		core.WriteQuantaStream(w, quanta)
+	}))
+	t.Cleanup(srv.Close)
+	return srv.Listener.Addr().String()
+}
+
+// fetchFrom builds a node whose only peer is owner, with a local cache of
+// maxBytes, and fetches a fingerprint the owner holds on the ring.
+func fetchFrom(t *testing.T, owner string, maxBytes int64) (*rescache.Cache, rescache.RemoteHit, bool) {
+	t.Helper()
+	cache := rescache.New(rescache.Options{MaxBytes: maxBytes, Metrics: telemetry.NewRegistry()})
+	n := mustNode(t, Options{
+		Advertise: "127.0.0.1:1", Peers: []string{owner}, FetchTimeout: 5 * time.Second,
+		Cache: cache, Metrics: telemetry.NewRegistry(),
+	})
+	for i := 0; i < 200; i++ {
+		fp := fmt.Sprintf("fingerprint-%d", i)
+		if n.Owner(fp) == owner {
+			hit, ok := n.Fetch(context.Background(), fp)
+			return cache, hit, ok
+		}
+	}
+	t.Fatal("no fingerprint owned by the fake owner in 200 tries")
+	return nil, rescache.RemoteHit{}, false
+}
+
+func TestRemoteFetchIgnoresDeclaredSize(t *testing.T) {
+	const maxBytes = 4 << 10
+
+	// A fitting entry is sized by the fetcher's own estimate, and that is
+	// what the local cache accounts when it adopts the hit.
+	small := []any{int64(1), "two", 3.0}
+	cache, hit, ok := fetchFrom(t, fakeOwner(t, small), maxBytes)
+	if !ok {
+		t.Fatal("fetch of a fitting entry missed")
+	}
+	want, _ := rescache.EstimateBytes(small)
+	if hit.Bytes != want {
+		t.Fatalf("hit sized %d bytes, want the estimate %d (owner declared 1)", hit.Bytes, want)
+	}
+	cache.Put("adopted", hit.Quanta, hit.CostMs, hit.Bytes, hit.Sources)
+	if got := cache.Stats(false).Bytes; got != want {
+		t.Fatalf("cache accounts %d bytes for the adopted entry, want %d", got, want)
+	}
+
+	// A body larger than the local cache's bound is a remote error: the
+	// ladder falls back to recompute.
+	big := make([]any, 1000)
+	for i := range big {
+		big[i] = fmt.Sprintf("quantum-%04d-padding-padding", i)
+	}
+	if _, hit, ok := fetchFrom(t, fakeOwner(t, big), maxBytes); ok {
+		t.Fatalf("oversized body (%d quanta) fetched as a hit of %d declared-or-estimated bytes", len(hit.Quanta), hit.Bytes)
 	}
 }

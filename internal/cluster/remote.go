@@ -27,7 +27,6 @@ import (
 
 const (
 	headerCostMs  = "X-Rheem-Cost-Ms"
-	headerBytes   = "X-Rheem-Bytes"
 	headerSources = "X-Rheem-Sources"
 
 	quantaContentType = "application/x-rheem-quanta"
@@ -35,9 +34,11 @@ const (
 
 // Fetch resolves a local cache miss through the ring: if the fingerprint's
 // owner is another peer, ask it. Any failure — no alive owner, transport
-// error, corrupt stream, owner miss — reports ok=false and the caller
-// recomputes; a dead owner therefore degrades to a cache miss, never an
-// error surfaced to the job.
+// error, corrupt stream, owner miss, a body larger than the local cache's
+// byte bound — reports ok=false and the caller recomputes; a dead owner
+// therefore degrades to a cache miss, never an error surfaced to the job.
+// The fetcher trusts nothing the owner declares about size: the entry is
+// sized from the decoded quanta, as the PUT side does.
 func (n *Node) Fetch(ctx context.Context, fp string) (rescache.RemoteHit, bool) {
 	owner := n.Owner(fp)
 	if owner == "" || owner == n.opts.Advertise {
@@ -73,16 +74,26 @@ func (n *Node) Fetch(ctx context.Context, fp string) (rescache.RemoteHit, bool) 
 	}
 	hit := rescache.RemoteHit{Origin: owner}
 	hit.CostMs, _ = strconv.ParseFloat(resp.Header.Get(headerCostMs), 64)
-	hit.Bytes, _ = strconv.ParseInt(resp.Header.Get(headerBytes), 10, 64)
 	if raw := resp.Header.Get(headerSources); raw != "" {
 		if err := json.Unmarshal([]byte(raw), &hit.Sources); err != nil {
 			n.mRemoteErrors.Inc()
 			return rescache.RemoteHit{}, false
 		}
 	}
-	if hit.Quanta, err = core.ReadQuantaStream(resp.Body); err != nil {
+	body := io.Reader(resp.Body)
+	if c := n.opts.Cache; c != nil && c.MaxBytes() > 0 {
+		body = http.MaxBytesReader(nil, resp.Body, c.MaxBytes())
+	}
+	segs, err := core.ReadQuantaStream(body)
+	if err != nil {
 		n.mRemoteErrors.Inc()
 		n.log.Debug("remote fetch decode failed", "peer", owner, "fp", fp, "error", err)
+		return rescache.RemoteHit{}, false
+	}
+	hit.Quanta = core.SegmentRows(segs)
+	var ok bool
+	if hit.Bytes, ok = rescache.EstimateBytes(hit.Quanta); !ok {
+		n.mRemoteErrors.Inc()
 		return rescache.RemoteHit{}, false
 	}
 	n.mRemoteHits.Inc()
@@ -169,7 +180,6 @@ func (n *Node) HandleCacheGet(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", quantaContentType)
 	w.Header().Set(headerCostMs, strconv.FormatFloat(hit.CostMs, 'g', -1, 64))
-	w.Header().Set(headerBytes, strconv.FormatInt(hit.Bytes, 10))
 	if len(hit.Sources) > 0 {
 		// Source refs travel with the entry, so the fetching peer's adopted
 		// copy still answers source invalidations.
@@ -197,7 +207,7 @@ func (n *Node) HandleCachePut(w http.ResponseWriter, r *http.Request) {
 	if max := n.opts.Cache.MaxBytes(); max > 0 {
 		body = http.MaxBytesReader(w, r.Body, max)
 	}
-	quanta, err := core.ReadQuantaStream(body)
+	segs, err := core.ReadQuantaStream(body)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -215,6 +225,7 @@ func (n *Node) HandleCachePut(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	quanta := core.SegmentRows(segs)
 	bytes, ok := rescache.EstimateBytes(quanta)
 	if !ok {
 		http.Error(w, "un-cacheable quanta", http.StatusBadRequest)

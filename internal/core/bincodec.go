@@ -641,11 +641,13 @@ func WriteQuantaStream(w io.Writer, quanta []any) error {
 	return enc.Flush()
 }
 
-// ReadQuantaStream decodes a quanta stream, auto-detecting the format: the
-// binary magic selects frame decoding, anything else is read as legacy
-// tagged-JSON lines (the format every quanta file used before the binary
-// codec), so old data keeps decoding.
-func ReadQuantaStream(r io.Reader) ([]any, error) {
+// ReadQuantaStream decodes a quanta stream into segments, auto-detecting
+// the format: the binary magic selects frame decoding — batch frames stay
+// column-major, consecutive row frames coalesce into one row segment — and
+// anything else is read as legacy tagged-JSON lines (the format every
+// quanta file used before the binary codec), returned as one row segment,
+// so old data keeps decoding. An empty stream yields no segments.
+func ReadQuantaStream(r io.Reader) ([]Segment, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	head, err := br.Peek(len(BinaryQuantaMagic))
 	if err != nil && !errors.Is(err, io.EOF) {
@@ -653,10 +655,9 @@ func ReadQuantaStream(r io.Reader) ([]any, error) {
 	}
 	if string(head) == BinaryQuantaMagic {
 		br.Discard(len(BinaryQuantaMagic))
-		return readBinaryFrames(br)
+		return readBinarySegments(br)
 	}
-	// Legacy JSON lines (also the empty-file case).
-	var out []any
+	var rows []any
 	sc := bufio.NewScanner(br)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	for sc.Scan() {
@@ -667,24 +668,15 @@ func ReadQuantaStream(r io.Reader) ([]any, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, q)
+		rows = append(rows, q)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("core: scan quanta stream: %w", err)
 	}
-	return out, nil
-}
-
-func readBinaryFrames(br *bufio.Reader) ([]any, error) {
-	segs, err := readBinarySegments(br)
-	if err != nil {
-		return nil, err
+	if len(rows) == 0 {
+		return nil, nil
 	}
-	var out []any
-	for _, s := range segs {
-		out = s.AppendRows(out)
-	}
-	return out, nil
+	return []Segment{{Rows: rows}}, nil
 }
 
 // readBinarySegments decodes the stream's frames, keeping batch frames
@@ -748,33 +740,3 @@ func readFrame(br *bufio.Reader, buf []byte, n int) ([]byte, error) {
 	}
 	return buf, nil
 }
-
-// ReadQuantaStreamSegments decodes a quanta stream like ReadQuantaStream but
-// keeps column-batch frames as native segments instead of expanding them to
-// rows, so batch-aware consumers move columns end to end. Legacy JSON-lines
-// streams come back as one row segment.
-func ReadQuantaStreamSegments(r io.Reader) ([]Segment, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.Peek(len(BinaryQuantaMagic))
-	if err != nil && !errors.Is(err, io.EOF) {
-		return nil, fmt.Errorf("core: read quanta stream: %w", err)
-	}
-	if string(head) == BinaryQuantaMagic {
-		br.Discard(len(BinaryQuantaMagic))
-		return readBinarySegments(br)
-	}
-	rows, err := ReadQuantaStream(&peekedReader{br: br})
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	return []Segment{{Rows: rows}}, nil
-}
-
-// peekedReader re-presents a buffered reader as a plain reader so the legacy
-// path of ReadQuantaStream can re-detect the format from the same bytes.
-type peekedReader struct{ br *bufio.Reader }
-
-func (p *peekedReader) Read(b []byte) (int, error) { return p.br.Read(b) }

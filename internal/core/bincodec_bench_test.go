@@ -68,11 +68,11 @@ func BenchmarkQuantaFileRoundTrip(b *testing.B) {
 		if err := WriteQuantaFile(path, quanta); err != nil {
 			b.Fatal(err)
 		}
-		out, err := ReadQuantaFile(path)
+		segs, err := ReadQuantaFile(path)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(out) != len(quanta) {
+		if out := SegmentRows(segs); len(out) != len(quanta) {
 			b.Fatalf("read %d quanta, want %d", len(out), len(quanta))
 		}
 	}

@@ -177,7 +177,7 @@ func TestReadQuantaStreamTruncatedFrame(t *testing.T) {
 	if _, err := ReadQuantaStream(bytes.NewReader(full[:len(full)-2])); err == nil {
 		t.Error("truncated stream read without error")
 	}
-	if got, err := ReadQuantaStream(bytes.NewReader(full)); err != nil || len(got) != 3 {
+	if got, err := ReadQuantaStream(bytes.NewReader(full)); err != nil || len(SegmentRows(got)) != 3 {
 		t.Errorf("full stream: %v quanta, err %v", got, err)
 	}
 }
@@ -218,11 +218,11 @@ func TestReadQuantaFileLegacyJSON(t *testing.T) {
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadQuantaFile(path)
+	segs, err := ReadQuantaFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out, in) {
+	if out := SegmentRows(segs); !reflect.DeepEqual(out, in) {
 		t.Fatalf("legacy decode: got %#v, want %#v", out, in)
 	}
 }
@@ -240,11 +240,11 @@ func TestWriteQuantaFileIsBinary(t *testing.T) {
 	if !bytes.HasPrefix(raw, []byte(BinaryQuantaMagic)) {
 		t.Fatalf("file does not start with %q: % x", BinaryQuantaMagic, raw[:8])
 	}
-	out, err := ReadQuantaFile(path)
+	segs, err := ReadQuantaFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out, in) {
+	if out := SegmentRows(segs); !reflect.DeepEqual(out, in) {
 		t.Fatalf("got %#v, want %#v", out, in)
 	}
 }
@@ -277,8 +277,8 @@ func TestWriteQuantaFileAtomicOnError(t *testing.T) {
 	if err := WriteQuantaFile(path, bad); err == nil {
 		t.Fatal("encoding a channel succeeded")
 	}
-	out, err := ReadQuantaFile(path)
-	if err != nil || !reflect.DeepEqual(out, []any{"keep"}) {
+	segs, err := ReadQuantaFile(path)
+	if out := SegmentRows(segs); err != nil || !reflect.DeepEqual(out, []any{"keep"}) {
 		t.Fatalf("previous content clobbered: %v, %v", out, err)
 	}
 	entries, err := os.ReadDir(dir)

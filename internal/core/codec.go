@@ -220,27 +220,16 @@ func WriteQuantaFile(path string, quanta []any) error {
 	return nil
 }
 
-// ReadQuantaFile decodes a file written by WriteQuantaFile, auto-detecting
-// the format: framed binary (current) or tagged JSON lines (files written
-// before the binary codec existed).
-func ReadQuantaFile(path string) ([]any, error) {
+// ReadQuantaFile decodes a file written by WriteQuantaFile into segments
+// (see ReadQuantaStream), auto-detecting framed binary or the tagged JSON
+// lines of files written before the binary codec existed.
+func ReadQuantaFile(path string) ([]Segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: read quanta file: %w", err)
 	}
 	defer f.Close()
 	return ReadQuantaStream(f)
-}
-
-// ReadQuantaFileSegments decodes a quanta file like ReadQuantaFile but keeps
-// column-batch frames as native segments (see ReadQuantaStreamSegments).
-func ReadQuantaFileSegments(path string) ([]Segment, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: read quanta file: %w", err)
-	}
-	defer f.Close()
-	return ReadQuantaStreamSegments(f)
 }
 
 // ReadTextFile reads a plain text file into one string quantum per line.

@@ -247,11 +247,11 @@ func TestEncodeSliceBatchedRoundTrip(t *testing.T) {
 	if err := WriteQuantaStream(&buf, quanta); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadQuantaStream(bytes.NewReader(buf.Bytes()))
+	segs, err := ReadQuantaStream(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, quanta) {
+	if got := SegmentRows(segs); !reflect.DeepEqual(got, quanta) {
 		t.Fatalf("stream round trip mismatch: %d vs %d quanta", len(got), len(quanta))
 	}
 
@@ -266,11 +266,11 @@ func TestEncodeSliceBatchedRoundTrip(t *testing.T) {
 		t.Fatalf("row framing (%d bytes) not larger than columnar (%d bytes)",
 			rowBuf.Len(), buf.Len())
 	}
-	got, err = ReadQuantaStream(bytes.NewReader(rowBuf.Bytes()))
+	segs, err = ReadQuantaStream(bytes.NewReader(rowBuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, quanta) {
+	if got := SegmentRows(segs); !reflect.DeepEqual(got, quanta) {
 		t.Fatal("row-framed round trip mismatch")
 	}
 }

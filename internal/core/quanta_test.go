@@ -264,11 +264,11 @@ func TestQuantaFileRoundTrip(t *testing.T) {
 	if err := WriteQuantaFile(path, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadQuantaFile(path)
+	segs, err := ReadQuantaFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out, in) {
+	if out := SegmentRows(segs); !reflect.DeepEqual(out, in) {
 		t.Fatalf("got %#v, want %#v", out, in)
 	}
 }

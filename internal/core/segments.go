@@ -1,13 +1,13 @@
 package core
 
-// Batch-native data movement. A SegmentedDataset carries quanta as a
-// sequence of segments — runs of boxed rows interleaved with ColumnBatches
-// kept column-major — so data decoded from batch frames (shuffle files, DFS
-// blocks, spill channels) reaches the vectorized kernels without a
-// row round-trip: no per-row boxing at decode, no re-derivation of column
-// buffers at kernel entry. It implements Dataset (iteration expands batches
-// lazily), so every consumer that only understands rows keeps working;
-// batch-aware engines type-assert and walk Segments() instead.
+// Segments are the one carrier of quanta between the decode, channel and
+// kernel layers. A partition is a []Segment: runs of boxed rows interleaved
+// with ColumnBatches kept column-major, so data decoded from batch frames
+// (shuffle files, DFS blocks, spill channels) reaches the vectorized
+// kernels without a row round-trip, and row data rides as a single row
+// segment wrapped without copying. SegmentRows is the one place the row
+// form is produced; SegmentedDataset adapts segments to the Dataset
+// interface (iteration expands batches lazily) for row-only consumers.
 
 // Segment is one contiguous run of a SegmentedDataset: either boxed rows or
 // a column batch carried natively. Exactly one of the fields is set.
@@ -32,6 +32,22 @@ func (s Segment) AppendRows(dst []any) []any {
 	return append(dst, s.Rows...)
 }
 
+// SegmentRows flattens segments to row-major quanta in a fresh slice, never
+// nil. It always copies: row segments can alias a caller's slice, and the
+// result may be written in place (spark hands its partitions to
+// partition-at-a-time UDFs).
+func SegmentRows(segs []Segment) []any {
+	n := 0
+	for _, s := range segs {
+		n += s.Len()
+	}
+	out := make([]any, 0, n)
+	for _, s := range segs {
+		out = s.AppendRows(out)
+	}
+	return out
+}
+
 // SegmentedDataset is a Dataset whose quanta live in row and column-batch
 // segments, in order.
 type SegmentedDataset struct {
@@ -43,9 +59,6 @@ func NewSegmentedDataset(segs []Segment) *SegmentedDataset {
 	return &SegmentedDataset{Segs: segs}
 }
 
-// Segments returns the underlying segments.
-func (d *SegmentedDataset) Segments() []Segment { return d.Segs }
-
 // Card returns the exact number of quanta.
 func (d *SegmentedDataset) Card() int64 {
 	var n int64
@@ -53,15 +66,6 @@ func (d *SegmentedDataset) Card() int64 {
 		n += int64(s.Len())
 	}
 	return n
-}
-
-// Rows flattens the dataset to row-major quanta.
-func (d *SegmentedDataset) Rows() []any {
-	out := make([]any, 0, d.Card())
-	for _, s := range d.Segs {
-		out = s.AppendRows(out)
-	}
-	return out
 }
 
 // Open returns a row iterator; batch segments are expanded one segment at a

@@ -372,14 +372,9 @@ func decodeParams(w paramsWire) (core.Params, error) {
 		Seed: w.Seed, IEOp1: core.Inequality(w.IEOp1), IEOp2: core.Inequality(w.IEOp2),
 	}
 	if w.HasCollection {
-		data, err := core.ReadQuantaStream(bytes.NewReader(w.Collection))
+		data, err := quantaRows(core.ReadQuantaStream(bytes.NewReader(w.Collection)))
 		if err != nil {
 			return p, fmt.Errorf("decoding collection: %w", err)
-		}
-		if data == nil {
-			// nil Collection means "placeholder source"; an empty shipped
-			// collection must stay an empty literal.
-			data = []any{}
 		}
 		p.Collection = data
 	}

@@ -335,11 +335,11 @@ func TestQuantaStreamSymmetry(t *testing.T) {
 	if err := core.WriteQuantaStream(&buf, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.ReadQuantaStream(bytes.NewReader(buf.Bytes()))
+	segs, err := core.ReadQuantaStream(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, data) {
+	if got := core.SegmentRows(segs); !reflect.DeepEqual(got, data) {
 		t.Fatalf("round-trip %v != %v", got, data)
 	}
 }

@@ -243,21 +243,14 @@ func (s *Scheduler) remoteFailure(sp *trace.Span, peer string, st *core.Stage, e
 // an HTTP stream from the writing peer.
 func (s *Scheduler) resolveData(ctx context.Context, inline []byte, shuffle, from string) ([]any, error) {
 	if len(inline) > 0 {
-		data, err := core.ReadQuantaStream(bytes.NewReader(inline))
-		if err != nil {
-			return nil, err
-		}
-		if data == nil {
-			data = []any{}
-		}
-		return data, nil
+		return quantaRows(core.ReadQuantaStream(bytes.NewReader(inline)))
 	}
 	if shuffle == "" {
 		return nil, fmt.Errorf("distexec: channel carries neither inline data nor a shuffle path")
 	}
 	name := dfs.TrimScheme(shuffle)
 	if s.opts.DFS != nil && s.opts.DFS.Exists(name) {
-		return driverutil.ReadDFSQuanta(s.opts.DFS, name)
+		return quantaRows(driverutil.ReadDFSQuanta(s.opts.DFS, name))
 	}
 	if from == "" {
 		return nil, fmt.Errorf("distexec: shuffle file %s is not local and names no source peer", name)
@@ -277,14 +270,17 @@ func (s *Scheduler) resolveData(ctx context.Context, inline []byte, shuffle, fro
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("shuffle fetch of %s from %s: status %d", name, from, resp.StatusCode)
 	}
-	data, err := core.ReadQuantaStream(resp.Body)
+	return quantaRows(core.ReadQuantaStream(resp.Body))
+}
+
+// quantaRows flattens a decoded quanta stream to rows. The result is never
+// nil, so an empty shipped collection stays an empty literal (nil means a
+// placeholder source).
+func quantaRows(segs []core.Segment, err error) ([]any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if data == nil {
-		data = []any{}
-	}
-	return data, nil
+	return core.SegmentRows(segs), nil
 }
 
 // decodeStats rebuilds origin-keyed stage statistics from the worker's

@@ -63,9 +63,10 @@ func WriteDFSQuanta(store *dfs.Store, name string, data []any) error {
 	return fw.Close()
 }
 
-// ReadDFSQuanta decodes a whole DFS quanta file, auto-detecting framed
-// binary vs legacy JSON lines. The path may carry the dfs:// scheme.
-func ReadDFSQuanta(store *dfs.Store, path string) ([]any, error) {
+// ReadDFSQuanta decodes a whole DFS quanta file into segments,
+// auto-detecting framed binary vs legacy JSON lines (see
+// core.ReadQuantaStream). The path may carry the dfs:// scheme.
+func ReadDFSQuanta(store *dfs.Store, path string) ([]core.Segment, error) {
 	r, err := store.Open(dfs.TrimScheme(path))
 	if err != nil {
 		return nil, err
@@ -74,26 +75,24 @@ func ReadDFSQuanta(store *dfs.Store, path string) ([]any, error) {
 	return core.ReadQuantaStream(r)
 }
 
-// ReadDFSQuantaSegments decodes a whole DFS quanta file keeping column-batch
-// frames as native segments, so batch-aware engines skip the row round-trip.
-func ReadDFSQuantaSegments(store *dfs.Store, path string) ([]core.Segment, error) {
-	r, err := store.Open(dfs.TrimScheme(path))
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	return core.ReadQuantaStreamSegments(r)
-}
-
-// ReadDFSQuantaBlockSegments decodes one block split keeping column-batch
-// frames native. Expanding all blocks' segments in order yields exactly
-// ReadDFSQuantaBlock's concatenated rows.
-func ReadDFSQuantaBlockSegments(store *dfs.Store, name string, index int) ([]core.Segment, error) {
+// ReadDFSQuantaBlock decodes the quanta one block split owns: binary frames
+// for framed files, with column-batch frames kept native and consecutive
+// row frames coalesced into one row segment, or the block's JSON lines as
+// one row segment otherwise. Concatenating all blocks' segments yields
+// exactly the file's quanta, each once.
+func ReadDFSQuantaBlock(store *dfs.Store, name string, index int) ([]core.Segment, error) {
 	name = dfs.TrimScheme(name)
+	var rows []any
 	if !store.IsFramed(name) {
-		rows, err := ReadDFSQuantaBlock(store, name, index)
+		lines, err := store.ReadBlockLines(name, index)
 		if err != nil {
 			return nil, err
+		}
+		rows = make([]any, len(lines))
+		for i, l := range lines {
+			if rows[i], err = core.DecodeQuantum([]byte(l)); err != nil {
+				return nil, err
+			}
 		}
 		if len(rows) == 0 {
 			return nil, nil
@@ -105,61 +104,23 @@ func ReadDFSQuantaBlockSegments(store *dfs.Store, name string, index int) ([]cor
 		return nil, err
 	}
 	var segs []core.Segment
-	var run []any
 	for _, f := range frames {
 		q, err := core.DecodeQuantumBinary(f)
 		if err != nil {
 			return nil, err
 		}
 		if cb, ok := q.(*core.ColumnBatch); ok {
-			if len(run) > 0 {
-				segs = append(segs, core.Segment{Rows: run})
-				run = nil
+			if len(rows) > 0 {
+				segs = append(segs, core.Segment{Rows: rows})
+				rows = nil
 			}
 			segs = append(segs, core.Segment{Batch: cb})
 			continue
 		}
-		run = append(run, q)
+		rows = append(rows, q)
 	}
-	if len(run) > 0 {
-		segs = append(segs, core.Segment{Rows: run})
+	if len(rows) > 0 {
+		segs = append(segs, core.Segment{Rows: rows})
 	}
 	return segs, nil
-}
-
-// ReadDFSQuantaBlock decodes the quanta one block split owns: binary frames
-// for framed files, JSON lines otherwise. Concatenating all blocks' results
-// yields exactly the file's quanta, each once.
-func ReadDFSQuantaBlock(store *dfs.Store, name string, index int) ([]any, error) {
-	name = dfs.TrimScheme(name)
-	if store.IsFramed(name) {
-		frames, err := store.ReadBlockFrames(name, index)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]any, 0, len(frames))
-		for _, f := range frames {
-			q, err := core.DecodeQuantumBinary(f)
-			if err != nil {
-				return nil, err
-			}
-			if cb, ok := q.(*core.ColumnBatch); ok {
-				out = cb.AppendRows(out)
-				continue
-			}
-			out = append(out, q)
-		}
-		return out, nil
-	}
-	lines, err := store.ReadBlockLines(name, index)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]any, len(lines))
-	for i, l := range lines {
-		if out[i], err = core.DecodeQuantum([]byte(l)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -43,11 +43,11 @@ func TestDFSQuantaRoundTrip(t *testing.T) {
 	if !s.IsFramed("data") {
 		t.Error("quanta file not written framed")
 	}
-	out, err := ReadDFSQuanta(s, "data")
+	segs, err := ReadDFSQuanta(s, "data")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out, in) {
+	if out := core.SegmentRows(segs); !reflect.DeepEqual(out, in) {
 		t.Fatalf("round trip: got %d quanta, want %d", len(out), len(in))
 	}
 }
@@ -73,7 +73,7 @@ func TestDFSQuantaBlockReadsCoverFile(t *testing.T) {
 		if err != nil {
 			t.Fatalf("block %d: %v", i, err)
 		}
-		got = append(got, part...)
+		got = append(got, core.SegmentRows(part)...)
 	}
 	if !reflect.DeepEqual(got, in) {
 		t.Fatalf("block reads: got %d quanta, want %d", len(got), len(in))
@@ -96,11 +96,11 @@ func TestDFSQuantaLegacyJSONLines(t *testing.T) {
 	if err := s.WriteLines("legacy", lines); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadDFSQuanta(s, "legacy")
+	segs, err := ReadDFSQuanta(s, "legacy")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out, in) {
+	if out := core.SegmentRows(segs); !reflect.DeepEqual(out, in) {
 		t.Fatalf("legacy whole read: got %d quanta, want %d", len(out), len(in))
 	}
 	_, blocks, err := s.Stat("legacy")
@@ -113,7 +113,7 @@ func TestDFSQuantaLegacyJSONLines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("legacy block %d: %v", i, err)
 		}
-		got = append(got, part...)
+		got = append(got, core.SegmentRows(part)...)
 	}
 	if !reflect.DeepEqual(got, in) {
 		t.Fatalf("legacy block reads: got %d quanta, want %d", len(got), len(in))

@@ -355,25 +355,6 @@ func broadcastCtx(op *core.Operator, in *core.Inputs) (core.BroadcastCtx, error)
 	return bc, nil
 }
 
-// ChannelSlice extracts the quanta of a collection- or file-typed channel
-// as a slice. Engines use it for broadcast inputs and for collection
-// channels generally.
-func ChannelSlice(ch *core.Channel) ([]any, error) {
-	switch p := ch.Payload.(type) {
-	case *core.SliceDataset:
-		return p.Data, nil
-	case []any:
-		return p, nil
-	case core.Dataset:
-		return core.Materialize(p), nil
-	case string:
-		// A file path: encoded quanta.
-		return core.ReadQuantaFile(p)
-	default:
-		return nil, fmt.Errorf("driverutil: channel %s payload %T is not sliceable", ch.Desc.Name, ch.Payload)
-	}
-}
-
 // ApplySlowdown simulates a platform with less compute capacity than the
 // host: the stage's real busy time is stretched by the factor (sleeping the
 // difference) and the reported statistics are scaled to match. Single-node

@@ -71,13 +71,13 @@ func (c *FusedChain) String() string {
 // chain.AllOps() — one extra trailing counter for the absorbed aggregation
 // when chain.Agg is set. The returned Data stands for chain.Out()'s output.
 // The kernel is a VectorKernel: for pure narrow chains engines just call
-// Run (or RunSegments for batch-native partitions), which takes the
-// columnar path when the chain's leading steps vectorized and the partition
-// allows it, and the row path otherwise. When kernel.Agg() is non-nil the
-// engine must instead drive RunAgg/RunSegmentsAgg into core.AggState
-// accumulators, exchange partials on Agg's PartialKeyFn if it is
-// distributed, finalize, and count the finalized groups into the trailing
-// counter.
+// Run on each partition's segments (a row partition is one row segment),
+// which takes the columnar path when the chain's leading steps vectorized
+// and the partition allows it, and the row path otherwise. When
+// kernel.Agg() is non-nil the engine must instead drive RunAgg into
+// core.AggState accumulators, exchange partials on Agg's PartialKeyFn if it
+// is distributed, finalize, and count the finalized groups into the
+// trailing counter.
 type ChainEngine interface {
 	ApplyChain(chain *FusedChain, kernel *VectorKernel, in Data, counters []*int64) (Data, error)
 }

@@ -236,7 +236,7 @@ func (sliceEngine) Apply(op *core.Operator, in []Data, bc core.BroadcastCtx, rou
 }
 func (sliceEngine) ApplyChain(chain *FusedChain, kernel *VectorKernel, in Data, counters []*int64) (Data, error) {
 	counts := make([]int64, kernel.Len())
-	out := kernel.Run(in.([]any), counts, nil)
+	out := kernel.Run([]core.Segment{{Rows: in.([]any)}}, counts, nil)
 	for i, c := range counts {
 		*counters[i] += c
 	}

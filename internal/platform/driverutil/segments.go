@@ -1,37 +1,81 @@
 package driverutil
 
-import "rheem/internal/core"
+import (
+	"fmt"
 
-// Batch-native channel movement. Quanta decoded from shuffle files, DFS
-// blocks, and spill channels arrive as core.Segments — runs of rows
-// interleaved with native column batches — and the helpers here carry them
-// to the engines' partitions without a row round-trip. The cardinal rule is
-// boundary identity: however a partition's quanta are carried, the set and
-// order of rows per partition must be byte-identical to the row path's, so
-// the RHEEM_NO_COLUMNAR kill switch (and any per-batch fallback) never
-// changes what downstream operators observe.
+	"rheem/internal/core"
+)
+
+// Segment-carried channel movement. Every engine input — collection and
+// file channels, DFS files and block splits — reaches the engines'
+// partitions as core.Segments: runs of rows interleaved with native column
+// batches, with row payloads wrapped as one row segment without copying.
+// The cardinal rule is boundary identity: SplitSegments cuts exactly where
+// the ceil-chunk row partitioners would, so the set and order of rows per
+// partition never depend on how the quanta were carried, and the
+// RHEEM_NO_COLUMNAR kill switch (which only stops batch frames being
+// written and vector steps running) never changes what downstream
+// operators observe.
 
 // ChannelSegments extracts a collection- or file-typed channel's quanta as
-// segments when a batch-native representation is available: a
-// SegmentedDataset payload, or a quanta-file path whose batch frames decode
-// straight to column batches. ok=false — plain slice payloads, or the
-// columnar plane disabled (the kill switch must reproduce the exact legacy
-// path) — sends the caller to ChannelSlice.
-func ChannelSegments(ch *core.Channel) (segs []core.Segment, ok bool, err error) {
-	if core.ColumnarDisabled() {
-		return nil, false, nil
-	}
+// segments: a SegmentedDataset's own segments, a quanta file decoded with
+// its batch frames kept native, or a slice payload wrapped as one row
+// segment. The row segment aliases the payload; consumers that write rows
+// in place must copy (core.SegmentRows does).
+func ChannelSegments(ch *core.Channel) ([]core.Segment, error) {
 	switch p := ch.Payload.(type) {
 	case *core.SegmentedDataset:
-		return p.Segs, true, nil
+		return p.Segs, nil
+	case *core.SliceDataset:
+		return rowSegment(p.Data), nil
+	case []any:
+		return rowSegment(p), nil
+	case core.Dataset:
+		return rowSegment(core.Materialize(p)), nil
 	case string:
-		segs, err := core.ReadQuantaFileSegments(p)
-		if err != nil {
-			return nil, false, err
-		}
-		return segs, true, nil
+		// A file path: encoded quanta.
+		return core.ReadQuantaFile(p)
+	default:
+		return nil, fmt.Errorf("driverutil: channel %s payload %T is not sliceable", ch.Desc.Name, ch.Payload)
 	}
-	return nil, false, nil
+}
+
+// ChannelSlice is the rows adapter of ChannelSegments for row-only
+// consumers (broadcasts, graph engines, relational loads). Slice payloads
+// come back as-is, without a copy.
+func ChannelSlice(ch *core.Channel) ([]any, error) {
+	switch p := ch.Payload.(type) {
+	case *core.SliceDataset:
+		return p.Data, nil
+	case []any:
+		return p, nil
+	}
+	segs, err := ChannelSegments(ch)
+	if err != nil {
+		return nil, err
+	}
+	return core.SegmentRows(segs), nil
+}
+
+// RowSegments wraps row partitions as segment partitions, one row segment
+// each, without copying the rows: the carrier the fused kernels take.
+func RowSegments(parts [][]any) [][]core.Segment {
+	rows := make([]core.Segment, len(parts))
+	out := make([][]core.Segment, len(parts))
+	for i, p := range parts {
+		rows[i] = core.Segment{Rows: p}
+		out[i] = rows[i : i+1 : i+1]
+	}
+	return out
+}
+
+// rowSegment wraps rows as a one-segment partition without copying; empty
+// input yields no segments.
+func rowSegment(rows []any) []core.Segment {
+	if len(rows) == 0 {
+		return nil
+	}
+	return []core.Segment{{Rows: rows}}
 }
 
 // SplitSegments partitions a segment run into n contiguous parts with
@@ -90,18 +134,5 @@ func sliceSegment(s core.Segment, lo, hi int) core.Segment {
 		}
 		return core.Segment{Rows: s.Batch.AppendRows(nil)[lo:hi]}
 	}
-	return core.Segment{Rows: s.Rows[lo:hi]}
-}
-
-// SegmentRows flattens a partition's segments to row-major quanta.
-func SegmentRows(segs []core.Segment) []any {
-	n := 0
-	for _, s := range segs {
-		n += s.Len()
-	}
-	out := make([]any, 0, n)
-	for _, s := range segs {
-		out = s.AppendRows(out)
-	}
-	return out
+	return core.Segment{Rows: s.Rows[lo:hi:hi]}
 }

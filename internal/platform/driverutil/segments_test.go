@@ -53,7 +53,7 @@ func TestSplitSegmentsBoundaryIdentity(t *testing.T) {
 			if lo > hi {
 				lo = hi
 			}
-			got := SegmentRows(part)
+			got := core.SegmentRows(part)
 			want := flat[lo:hi]
 			if len(want) == 0 {
 				want = nil
@@ -81,7 +81,7 @@ func TestSplitSegmentsKeepsWholeBatchesNative(t *testing.T) {
 	parts = SplitSegments([]core.Segment{{Batch: b}, {Batch: b2}}, 3)
 	total := 0
 	for _, p := range parts {
-		total += len(SegmentRows(p))
+		total += len(core.SegmentRows(p))
 	}
 	if total != 100 {
 		t.Fatalf("split lost rows: %d", total)
@@ -98,7 +98,7 @@ func TestReadQuantaFileSegmentsNativeBatches(t *testing.T) {
 	if err := core.WriteQuantaFile(path, quanta); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := core.ReadQuantaFileSegments(path)
+	segs, err := core.ReadQuantaFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,15 +111,7 @@ func TestReadQuantaFileSegmentsNativeBatches(t *testing.T) {
 	if !sawBatch {
 		t.Fatal("no native batch segment decoded from a batch-framed file")
 	}
-	if got := SegmentRows(segs); !reflect.DeepEqual(got, quanta) {
+	if got := core.SegmentRows(segs); !reflect.DeepEqual(got, quanta) {
 		t.Fatalf("segment read mismatch: %d vs %d quanta", len(got), len(quanta))
-	}
-	// The row reader over the same file agrees.
-	rows, err := core.ReadQuantaFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rows, quanta) {
-		t.Fatal("row reader disagrees with writer")
 	}
 }

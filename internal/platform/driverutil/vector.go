@@ -20,9 +20,9 @@ import (
 // shapes) or whose columns don't satisfy a step's type/validity requirements
 // fall back to the row kernel wholesale, so vectorized execution is always
 // observationally identical to row execution — same outputs, same
-// per-operator cardinalities, same panics. Batch-native inputs (column
-// batches decoded off the wire) enter through RunSegments/RunSegmentsAgg,
-// which execute them without a row round-trip under the same ladder.
+// per-operator cardinalities, same panics. Partitions arrive as segments:
+// column batches decoded off the wire execute without a row round-trip,
+// under the same ladder, and row segments are batched at kernel entry.
 
 // vecStep is one vectorizable chain operator.
 type vecStep struct {
@@ -192,7 +192,7 @@ func (k *VectorKernel) Len() int { return k.row.Len() }
 
 // Agg returns the absorbed chain-terminating aggregation (nil for pure
 // narrow chains). Engines that see a non-nil Agg must run the kernel through
-// RunAgg/RunSegmentsAgg and finalize the state themselves.
+// RunAgg and finalize the state themselves.
 func (k *VectorKernel) Agg() *core.ReduceExpr { return k.agg }
 
 // SetSniff attaches an observer to step i (see FusedKernel.SetSniff). A
@@ -417,13 +417,44 @@ func (k *VectorKernel) runSteps(b *core.ColumnBatch, phys []int, counts []int64)
 	return sel, sb, live
 }
 
-// Run executes the kernel over one partition. The contract is identical to
-// FusedKernel.Run: counts[i] accumulates the i-th step's emitted quanta and
-// buf, when non-nil, is the reused output buffer. The column path engages
-// only when it can reproduce row execution exactly; every other partition
-// degrades to the row kernel.
-func (k *VectorKernel) Run(part []any, counts []int64, buf []any) []any {
-	if len(k.vec) == 0 || len(part) == 0 || core.ColumnarDisabled() || k.prefixSniffed() {
+// Run executes the kernel over one partition carried as segments. The
+// contract matches FusedKernel.Run over the partition's rows: counts[i]
+// accumulates the i-th step's emitted quanta and buf, when non-nil, is the
+// reused output buffer (allocated when nil). Row segments are batched at
+// kernel entry; column-batch segments execute natively. Either way the
+// column path engages only when it can reproduce row execution exactly;
+// every other segment degrades to the row kernel.
+func (k *VectorKernel) Run(segs []core.Segment, counts []int64, buf []any) []any {
+	vec := k.vectorOn()
+	out := buf
+	if out == nil && len(segs) != 1 {
+		n := 0
+		for _, s := range segs {
+			n += s.Len()
+		}
+		out = make([]any, 0, n)
+	}
+	for i := range segs {
+		if b := segs[i].Batch; b != nil {
+			out = k.runBatch(b, vec, counts, out)
+		} else {
+			out = k.runRows(segs[i].Rows, vec, counts, out)
+		}
+	}
+	return out
+}
+
+// vectorOn reports whether the column path may run at all: the chain has a
+// vectorized prefix, the columnar plane is enabled, and no vectorized step
+// carries a sniffer.
+func (k *VectorKernel) vectorOn() bool {
+	return len(k.vec) > 0 && !core.ColumnarDisabled() && !k.prefixSniffed()
+}
+
+// runRows executes the kernel over one row segment, batching it first when
+// the column path is on.
+func (k *VectorKernel) runRows(part []any, vec bool, counts []int64, buf []any) []any {
+	if !vec || len(part) == 0 {
 		return k.row.Run(part, counts, buf)
 	}
 	b, ok := core.BatchFromRowsNeeding(part, k.need)
@@ -465,34 +496,11 @@ func (k *VectorKernel) Run(part []any, counts []int64, buf []any) []any {
 	return out
 }
 
-// RunSegments executes the kernel over one partition carried as segments,
-// appending survivors to buf (allocated when nil). Row segments take the
-// Run path; column-batch segments execute natively, with the same fallback
-// ladder per batch. Decoded batches may be shared with other consumers
-// (cached partitions, re-read spill files), so map steps copy-on-write and
-// nothing mutates them in place.
-func (k *VectorKernel) RunSegments(segs []core.Segment, counts []int64, buf []any) []any {
-	out := buf
-	if out == nil {
-		n := 0
-		for _, s := range segs {
-			n += s.Len()
-		}
-		out = make([]any, 0, n)
-	}
-	for i := range segs {
-		if segs[i].Batch == nil {
-			out = k.Run(segs[i].Rows, counts, out)
-			continue
-		}
-		out = k.runBatch(segs[i].Batch, counts, out)
-	}
-	return out
-}
-
 // runBatch executes the kernel over one shared decoded column batch,
-// appending survivors to out.
-func (k *VectorKernel) runBatch(b *core.ColumnBatch, counts []int64, out []any) []any {
+// appending survivors to out. Decoded batches may be shared with other
+// consumers (cached partitions, re-read spill files), so map steps
+// copy-on-write and nothing mutates them in place.
+func (k *VectorKernel) runBatch(b *core.ColumnBatch, vec bool, counts []int64, out []any) []any {
 	if b.Len() == 0 {
 		return out
 	}
@@ -504,7 +512,7 @@ func (k *VectorKernel) runBatch(b *core.ColumnBatch, counts []int64, out []any) 
 		putRowBuf(rb)
 		return out
 	}
-	if len(k.vec) == 0 || core.ColumnarDisabled() || k.prefixSniffed() {
+	if !vec {
 		return rowRun()
 	}
 	phys, final, ok := k.plan(b)
@@ -519,6 +527,9 @@ func (k *VectorKernel) runBatch(b *core.ColumnBatch, counts []int64, out []any) 
 	atomic.AddInt64(&k.stats.rows, int64(b.Len()))
 	sel, sb, live := k.runSteps(b, phys, counts)
 	if len(k.vec) == k.row.Len() {
+		if out == nil {
+			out = make([]any, 0, live)
+		}
 		out = b.EmitRows(out, sel, final)
 		putSel(sb)
 		return out
@@ -536,39 +547,24 @@ func (k *VectorKernel) runBatch(b *core.ColumnBatch, counts []int64, out []any) 
 	return out
 }
 
-// RunAgg executes the kernel over one partition and feeds every survivor
-// into the grouped accumulator state instead of materializing them. counts
+// RunAgg executes the kernel over one segment-carried partition and feeds
+// every survivor into the grouped accumulator state instead of
+// materializing them. Column-batch segments absorb natively (copy-on-write
+// for map steps); row segments are batched at entry like Run's. counts
 // covers the narrow steps only; the caller accounts the aggregation's own
 // output cardinality after Finalize. The caller must only use RunAgg when
 // Agg() is non-nil.
-func (k *VectorKernel) RunAgg(part []any, counts []int64, st *core.AggState) {
-	if len(k.vec) == 0 || len(part) == 0 || core.ColumnarDisabled() || k.prefixSniffed() {
-		k.rowAgg(part, counts, st)
-		return
-	}
-	b, ok := core.BatchFromRowsNeeding(part, k.need)
-	if !ok {
-		atomic.AddInt64(&k.stats.fallbacks, 1)
-		k.rowAgg(part, counts, st)
-		return
-	}
-	k.vecAgg(b, part, counts, st, false)
-}
-
-// RunSegmentsAgg is RunAgg over a segment-carried partition: column-batch
-// segments absorb natively (copy-on-write for map steps), row segments take
-// the RunAgg path.
-func (k *VectorKernel) RunSegmentsAgg(segs []core.Segment, counts []int64, st *core.AggState) {
+func (k *VectorKernel) RunAgg(segs []core.Segment, counts []int64, st *core.AggState) {
+	vec := k.vectorOn()
 	for i := range segs {
-		b := segs[i].Batch
-		if b == nil {
-			k.RunAgg(segs[i].Rows, counts, st)
-			continue
-		}
-		if b.Len() == 0 {
-			continue
-		}
-		if len(k.vec) == 0 || core.ColumnarDisabled() || k.prefixSniffed() {
+		if b := segs[i].Batch; b != nil {
+			if b.Len() == 0 {
+				continue
+			}
+			if vec {
+				k.vecAgg(b, nil, counts, st, true)
+				continue
+			}
 			rb := getRowBuf(b.Len())
 			rows := b.AppendRows((*rb)[:0])
 			*rb = rows
@@ -576,7 +572,18 @@ func (k *VectorKernel) RunSegmentsAgg(segs []core.Segment, counts []int64, st *c
 			putRowBuf(rb)
 			continue
 		}
-		k.vecAgg(b, nil, counts, st, true)
+		part := segs[i].Rows
+		if !vec || len(part) == 0 {
+			k.rowAgg(part, counts, st)
+			continue
+		}
+		b, ok := core.BatchFromRowsNeeding(part, k.need)
+		if !ok {
+			atomic.AddInt64(&k.stats.fallbacks, 1)
+			k.rowAgg(part, counts, st)
+			continue
+		}
+		k.vecAgg(b, part, counts, st, false)
 	}
 }
 

@@ -75,7 +75,7 @@ func TestVectorKernelMatchesRowKernel(t *testing.T) {
 	}
 	vCounts := make([]int64, k.Len())
 	rCounts := make([]int64, ref.Len())
-	got := k.Run(part, vCounts, nil)
+	got := k.Run([]core.Segment{{Rows: part}}, vCounts, nil)
 	want := ref.Run(part, rCounts, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("vector output differs from row output: %d vs %d quanta", len(got), len(want))
@@ -134,7 +134,7 @@ func TestVectorKernelPropertyEquivalence(t *testing.T) {
 		k, ref := compileBoth(t, ops)
 		vCounts := make([]int64, k.Len())
 		rCounts := make([]int64, ref.Len())
-		got := k.Run(part, vCounts, nil)
+		got := k.Run([]core.Segment{{Rows: part}}, vCounts, nil)
 		want := ref.Run(part, rCounts, nil)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (VecLen=%d): outputs differ\n got %v\nwant %v",
@@ -159,7 +159,7 @@ func TestVectorKernelDropAllDropNothing(t *testing.T) {
 
 	k, _ := compileBoth(t, ops)
 	counts := make([]int64, 2)
-	if out := k.Run(part, counts, nil); len(out) != 0 {
+	if out := k.Run([]core.Segment{{Rows: part}}, counts, nil); len(out) != 0 {
 		t.Fatalf("drop-all emitted %v", out)
 	}
 	if counts[0] != 0 || counts[1] != 0 {
@@ -169,7 +169,7 @@ func TestVectorKernelDropAllDropNothing(t *testing.T) {
 	f.Params.Where = &core.Predicate{Col: core.WholeQuantum, Op: core.PredGt, Value: int64(0)}
 	k2, _ := compileBoth(t, ops)
 	counts = make([]int64, 2)
-	out := k2.Run(part, counts, nil)
+	out := k2.Run([]core.Segment{{Rows: part}}, counts, nil)
 	want := []any{int64(2), int64(3), int64(4)}
 	if !reflect.DeepEqual(out, want) {
 		t.Fatalf("drop-nothing = %v, want %v", out, want)
@@ -187,7 +187,7 @@ func TestVectorKernelDropAllDropNothing(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
 	counts = make([]int64, 2)
-	if out := k3.Run(part, counts, nil); len(out) != 0 || counts[1] != 0 {
+	if out := k3.Run([]core.Segment{{Rows: part}}, counts, nil); len(out) != 0 || counts[1] != 0 {
 		t.Fatalf("drop-all then keep-all emitted %v (counts %v)", out, counts)
 	}
 }
@@ -204,7 +204,7 @@ func TestVectorKernelFallbacks(t *testing.T) {
 	f := p.NewOperator(core.KindFilter, "f")
 	f.Params.Where = &core.Predicate{Col: 0, Op: core.PredGt, Value: int64(0)}
 	k, ref = compileBoth(t, []*core.Operator{f})
-	got := k.Run(mixed, nil, nil)
+	got := k.Run([]core.Segment{{Rows: mixed}}, nil, nil)
 	want := ref.Run(mixed, nil, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("mixed partition: %v vs %v", got, want)
@@ -222,7 +222,7 @@ func TestVectorKernelFallbacks(t *testing.T) {
 		run()
 		return "<no panic>"
 	}
-	vp := panicOf(func() { k2.Run(strs, nil, nil) })
+	vp := panicOf(func() { k2.Run([]core.Segment{{Rows: strs}}, nil, nil) })
 	rp := panicOf(func() { ref2.Run(strs, nil, nil) })
 	if vp != rp || vp == "<no panic>" {
 		t.Fatalf("string partition panics differ: vector %q, row %q", vp, rp)
@@ -236,7 +236,7 @@ func TestVectorKernelFallbacks(t *testing.T) {
 	prev := core.SetColumnarDisabled(true)
 	k3, ref3 := compileBoth(t, []*core.Operator{f})
 	part := []any{core.Record{int64(1), "a"}, core.Record{int64(-1), "b"}}
-	got = k3.Run(part, nil, nil)
+	got = k3.Run([]core.Segment{{Rows: part}}, nil, nil)
 	core.SetColumnarDisabled(prev)
 	want = ref3.Run(part, nil, nil)
 	if !reflect.DeepEqual(got, want) {
@@ -251,7 +251,7 @@ func TestVectorKernelFallbacks(t *testing.T) {
 	k4, _ := compileBoth(t, []*core.Operator{f})
 	var saw []any
 	k4.SetSniff(0, func(q any) { saw = append(saw, q) })
-	out := k4.Run(part, nil, nil)
+	out := k4.Run([]core.Segment{{Rows: part}}, nil, nil)
 	if len(out) != 1 || len(saw) != 1 {
 		t.Fatalf("sniffed run: out=%v saw=%v", out, saw)
 	}
@@ -274,7 +274,7 @@ func TestVectorKernelProjectionAliasingFallsBack(t *testing.T) {
 	part := []any{core.Record{int64(1), "x"}, core.Record{int64(2), "y"}}
 
 	k, ref := compileBoth(t, ops)
-	got := k.Run(part, nil, nil)
+	got := k.Run([]core.Segment{{Rows: part}}, nil, nil)
 	want := ref.Run(part, nil, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("aliasing: vector %v, row %v", got, want)
@@ -293,7 +293,7 @@ func TestVectorKernelTailSharesStats(t *testing.T) {
 	}
 	part := []any{core.Record{int64(3), "a"}}
 	counts := make([]int64, 1)
-	out := tail.Run(part, counts, nil)
+	out := tail.Run([]core.Segment{{Rows: part}}, counts, nil)
 	if len(out) != 1 || out[0].(core.Record)[0] != int64(13) {
 		t.Fatalf("tail run = %v", out)
 	}
@@ -309,7 +309,7 @@ func TestVectorKernelBufferContract(t *testing.T) {
 	f.Params.Where = &core.Predicate{Col: core.WholeQuantum, Op: core.PredGe, Value: int64(0)}
 	k, _ := compileBoth(t, []*core.Operator{f})
 	buf := make([]any, 0, 16)
-	out := k.Run([]any{int64(1), int64(2)}, nil, buf)
+	out := k.Run([]core.Segment{{Rows: []any{int64(1), int64(2)}}}, nil, buf)
 	if len(out) != 2 || cap(out) != 16 {
 		t.Fatalf("buffer not reused: len=%d cap=%d", len(out), cap(out))
 	}

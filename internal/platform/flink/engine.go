@@ -22,10 +22,10 @@ type flow struct {
 	card   int64 // -1 unknown
 	errBox *errBox
 
-	// segs, set only on source flows built from batch-native channels, holds
-	// the per-instance quanta as column batches interleaved with row runs.
-	// start expands them, so row consumers see the identical stream; the
-	// batch-aware ApplyChain reads segs directly and skips the expansion.
+	// segs, set only on source flows built from collection, file and DFS
+	// channels, holds the per-instance quanta as segments: column batches
+	// interleaved with row runs. start expands them, so row consumers see
+	// the identical stream; ApplyChain hands segs to the kernel directly.
 	segs [][]core.Segment
 }
 
@@ -76,7 +76,7 @@ func sliceFlow(parts [][]any) *flow {
 	}
 }
 
-// segFlow wraps batch-native per-instance partitions. Expanding each
+// segFlow wraps segment-carried per-instance partitions. Expanding each
 // instance's segments in order yields exactly the rows the row-carried flow
 // would stream, so every row consumer behaves identically.
 func segFlow(segs [][]core.Segment) *flow {
@@ -271,35 +271,23 @@ func (e *engine) FromChannel(ch *core.Channel) (driverutil.Data, error) {
 		}
 		return sliceFlow(ds.Parts), nil
 	case "collection", "file":
-		// Batch-native inputs keep their column batches; SplitSegments
-		// reproduces partition's row boundaries exactly, so either carrier
-		// yields identical per-instance streams.
-		if segs, ok, err := driverutil.ChannelSegments(ch); err != nil {
-			return nil, err
-		} else if ok {
-			return segFlow(driverutil.SplitSegments(segs, e.width())), nil
-		}
-		data, err := driverutil.ChannelSlice(ch)
+		// Column batches stay native and slice payloads ride as one row
+		// segment; SplitSegments reproduces partition's row boundaries
+		// exactly, so every carrier yields identical per-instance streams.
+		segs, err := driverutil.ChannelSegments(ch)
 		if err != nil {
 			return nil, err
 		}
-		return sliceFlow(partition(data, e.width()).Parts), nil
+		return segFlow(driverutil.SplitSegments(segs, e.width())), nil
 	case "dfs":
 		if e.driver.DFS == nil {
 			return nil, fmt.Errorf("flink: no DFS configured")
 		}
-		if !core.ColumnarDisabled() {
-			segs, err := driverutil.ReadDFSQuantaSegments(e.driver.DFS, ch.Payload.(string))
-			if err != nil {
-				return nil, err
-			}
-			return segFlow(driverutil.SplitSegments(segs, e.width())), nil
-		}
-		data, err := driverutil.ReadDFSQuanta(e.driver.DFS, ch.Payload.(string))
+		segs, err := driverutil.ReadDFSQuanta(e.driver.DFS, ch.Payload.(string))
 		if err != nil {
 			return nil, err
 		}
-		return sliceFlow(partition(data, e.width()).Parts), nil
+		return segFlow(driverutil.SplitSegments(segs, e.width())), nil
 	default:
 		return nil, fmt.Errorf("flink: unsupported input channel %q", ch.Desc.Name)
 	}
@@ -387,8 +375,8 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 	if agg := kernel.Agg(); agg != nil {
 		return e.applyChainAgg(kernel, f, counters, agg)
 	}
-	// A batch-native source flow feeds the kernel its segments directly:
-	// whole column batches skip both the channel hop and the row→column
+	// A source flow feeds the kernel its segments directly: whole
+	// partitions skip the channel hop, and column batches the row→column
 	// rebuild.
 	if f.segs != nil {
 		out := make([][]any, len(f.segs))
@@ -400,7 +388,7 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 				defer wg.Done()
 				defer trap.Guard()
 				counts := make([]int64, kernel.Len())
-				out[i] = kernel.RunSegments(f.segs[i], counts, nil)
+				out[i] = kernel.Run(f.segs[i], counts, nil)
 				for s, c := range counts {
 					atomic.AddInt64(counters[s], c)
 				}
@@ -445,9 +433,11 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 						batch = e.driver.Conf.VecChainBatch
 					}
 					vec := make([]any, 0, batch)
+					seg := []core.Segment{{}} // reused: one row segment per vector
 					var buf []any
 					flush := func() {
-						buf = kernel.Run(vec, counts, buf[:0])
+						seg[0].Rows = vec
+						buf = kernel.Run(seg, counts, buf[:0])
 						for _, q := range buf {
 							out <- q
 						}
@@ -484,54 +474,35 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 // declarative reduce-by exactly, so group emission order is identical
 // however the chain executes.
 func (e *engine) applyChainAgg(kernel *driverutil.VectorKernel, f *flow, counters []*int64, agg *core.ReduceExpr) (*flow, error) {
-	var partials [][]any
-	if segs := f.segs; segs != nil {
-		partials = make([][]any, len(segs))
-		var wg sync.WaitGroup
-		var trap driverutil.Trap
-		for i := range segs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer trap.Guard()
-				counts := make([]int64, kernel.Len())
-				st := core.NewAggState(agg)
-				kernel.RunSegmentsAgg(segs[i], counts, st)
-				partials[i] = st.Partials(nil)
-				for s, c := range counts {
-					atomic.AddInt64(counters[s], c)
-				}
-			}(i)
-		}
-		wg.Wait()
-		trap.Rethrow()
-	} else {
+	segs := f.segs
+	if segs == nil {
 		parts := f.materialize()
 		if f.errBox != nil {
 			if err := f.errBox.get(); err != nil {
 				return nil, err
 			}
 		}
-		partials = make([][]any, len(parts))
-		var wg sync.WaitGroup
-		var trap driverutil.Trap
-		for i := range parts {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer trap.Guard()
-				counts := make([]int64, kernel.Len())
-				st := core.NewAggState(agg)
-				kernel.RunAgg(parts[i], counts, st)
-				partials[i] = st.Partials(nil)
-				for s, c := range counts {
-					atomic.AddInt64(counters[s], c)
-				}
-			}(i)
-		}
-		wg.Wait()
-		trap.Rethrow()
+		segs = driverutil.RowSegments(parts)
 	}
+	partials := make([][]any, len(segs))
+	var wg sync.WaitGroup
+	var trap driverutil.Trap
+	for i := range segs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer trap.Guard()
+			counts := make([]int64, kernel.Len())
+			st := core.NewAggState(agg)
+			kernel.RunAgg(segs[i], counts, st)
+			partials[i] = st.Partials(nil)
+			for s, c := range counts {
+				atomic.AddInt64(counters[s], c)
+			}
+		}(i)
+	}
+	wg.Wait()
+	trap.Rethrow()
 	e.exchangeBarrier()
 	shuffled := sliceFlow(partials).exchange(e.width(), agg.PartialKeyFn())
 	out, err := parallelParts(shuffled, func(part []any) ([]any, error) {

@@ -179,10 +179,11 @@ func (d *Driver) Conversions() []*core.Conversion {
 			Name: "flink.dfs-load", From: "dfs", To: "dataset",
 			FixedCostMs: 7, PerQuantumMs: 0.002,
 			Convert: func(in *core.Channel) (*core.Channel, error) {
-				data, err := driverutil.ReadDFSQuanta(d.DFS, in.Payload.(string))
+				segs, err := driverutil.ReadDFSQuanta(d.DFS, in.Payload.(string))
 				if err != nil {
 					return nil, err
 				}
+				data := core.SegmentRows(segs)
 				return core.NewChannel(DataSetChannel, partition(data, d.Conf.Parallelism), int64(len(data))), nil
 			},
 		})

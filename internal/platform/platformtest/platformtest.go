@@ -86,7 +86,8 @@ func channelData(ch *core.Channel) ([]any, error) {
 	case core.Dataset:
 		return core.Materialize(p), nil
 	case string:
-		return core.ReadQuantaFile(p)
+		segs, err := core.ReadQuantaFile(p)
+		return core.SegmentRows(segs), err
 	default:
 		// Engine-native payloads expose Collect() (RDDs, datasets) or
 		// Rows() (table references).

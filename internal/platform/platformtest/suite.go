@@ -125,6 +125,63 @@ func Run(t *testing.T, d core.Driver, opts Options) {
 		}
 	})
 
+	// Collection channels hand engines the caller's slice without a copy
+	// (segment carriers alias it), so neither a fused chain nor a
+	// partition-at-a-time operator may write through to it.
+	run(core.KindMap, "CallerSliceUnchanged", func(t *testing.T) {
+		src, want := make([]any, 64), make([]any, 64)
+		for i := range src {
+			src[i] = core.Record{int64(64 - i), float64(i) / 2}
+			want[i] = core.Record{int64(64 - i), float64(i) / 2}
+		}
+		in := func() *core.Channel {
+			return core.NewChannel(core.CollectionChannel, core.NewSliceDataset(src), int64(len(src)))
+		}
+		check := func(what string) {
+			t.Helper()
+			if !reflect.DeepEqual(src, want) {
+				t.Fatalf("%s wrote through to the caller's slice", what)
+			}
+		}
+		opaque := []*core.Operator{
+			{Kind: core.KindFilter, UDF: core.UDFs{Pred: func(q any) bool { return q.(core.Record)[0].(int64)%3 != 0 }}},
+			{Kind: core.KindMap, UDF: core.UDFs{Map: func(q any) any {
+				r := q.(core.Record)
+				return core.Record{r[0].(int64) * 2, r[1]}
+			}}},
+		}
+		if got := RunChain(t, d, opaque, in()); len(got) != 43 {
+			t.Fatalf("opaque chain kept %d quanta, want 43", len(got))
+		}
+		check("opaque filter+map chain")
+		declarative := []*core.Operator{
+			{Kind: core.KindFilter, Params: core.Params{Where: &core.Predicate{Col: 0, Op: core.PredGt, Value: int64(10)}}},
+			{Kind: core.KindMap, UDF: core.UDFs{
+				Map: func(q any) any {
+					r := q.(core.Record)
+					return core.Record{r[0], r[1].(float64) * 3}
+				},
+				MapExpr: &core.MapExpr{Col: 1, Op: core.NumMul, Operand: 3.0},
+			}},
+		}
+		if got := RunChain(t, d, declarative, in()); len(got) != 54 {
+			t.Fatalf("declarative chain kept %d quanta, want 54", len(got))
+		}
+		check("declarative filter+map chain")
+		// A partition UDF may legitimately reorder and overwrite the slice
+		// it is handed.
+		clobber := &core.Operator{Kind: core.KindMapPart, UDF: core.UDFs{MapPart: func(part []any) []any {
+			for i := range part {
+				part[i] = int64(-1)
+			}
+			return part
+		}}}
+		if got := RunOp(t, d, clobber, in()); len(got) != len(src) {
+			t.Fatalf("partition UDF returned %d quanta, want %d", len(got), len(src))
+		}
+		check("an overwriting partition UDF")
+	})
+
 	run(core.KindCount, "Count", func(t *testing.T) {
 		op := &core.Operator{Kind: core.KindCount}
 		got := RunOp(t, d, op, CollectionChannel(int64(5), int64(6), int64(7)))

@@ -426,13 +426,14 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 			return nil, err
 		}
 	}
+	segs := []core.Segment{{Rows: rows}}
 	counts := make([]int64, kernel.Len())
 	if agg := kernel.Agg(); agg != nil {
 		// Single worker set, no exchange: absorb the (possibly pushed-down)
 		// rows and finalize in first-occurrence order — identical to the
 		// per-operator hash-agg over the same rows.
 		st := core.NewAggState(agg)
-		kernel.RunAgg(rows, counts, st)
+		kernel.RunAgg(segs, counts, st)
 		out := st.Finalize(nil)
 		for s, c := range counts {
 			*counters[s] += c
@@ -440,7 +441,7 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 		*counters[kernel.Len()] += int64(len(out))
 		return &rel{rows: out}, nil
 	}
-	out := kernel.Run(rows, counts, nil)
+	out := kernel.Run(segs, counts, nil)
 	for s, c := range counts {
 		*counters[s] += c
 	}

@@ -18,11 +18,12 @@ import (
 )
 
 // RDD is a partitioned in-memory dataset. Partitions are either row-major
-// (Parts) or batch-native (Segs: column batches interleaved with row runs,
-// as decoded off quanta files and DFS blocks). Segment-backed partitions
-// have exactly the row boundaries Partition would produce, and materialize
-// lazily on first row-oriented access — batch-aware paths (ApplyChain) run
-// them without the row round-trip.
+// (Parts) or segment-carried (Segs: column batches interleaved with row
+// runs, as decoded off quanta files and DFS blocks, or a channel's slice
+// wrapped without copying). Segment-backed partitions have exactly the row
+// boundaries Partition would produce, and materialize into a private copy
+// on first row-oriented access — the fused kernels (ApplyChain) run them
+// without the row round-trip.
 type RDD struct {
 	Parts  [][]any
 	Cached bool
@@ -34,7 +35,7 @@ type RDD struct {
 // NewRDD wraps existing partitions.
 func NewRDD(parts [][]any) *RDD { return &RDD{Parts: parts} }
 
-// NewSegRDD wraps batch-native partitions.
+// NewSegRDD wraps segment-carried partitions.
 func NewSegRDD(segs [][]core.Segment) *RDD { return &RDD{Segs: segs} }
 
 // materialize fills Parts from Segs on first row-oriented access. Safe for
@@ -48,7 +49,7 @@ func (r *RDD) materialize() *RDD {
 	if r.Parts == nil {
 		parts := make([][]any, len(r.Segs))
 		for i, segs := range r.Segs {
-			parts[i] = driverutil.SegmentRows(segs)
+			parts[i] = core.SegmentRows(segs)
 		}
 		r.Parts = parts
 	}
@@ -67,6 +68,16 @@ func (r *RDD) segments() [][]core.Segment {
 		return nil
 	}
 	return r.Segs
+}
+
+// partSegments returns every partition as segments, the carrier the fused
+// kernels take: the batch-native partitions while the RDD holds them,
+// otherwise each row partition wrapped as one row segment without copying.
+func (r *RDD) partSegments() [][]core.Segment {
+	if segs := r.segments(); segs != nil {
+		return segs
+	}
+	return driverutil.RowSegments(r.Parts)
 }
 
 // Partition splits data into n balanced partitions. The partitions get

@@ -182,7 +182,7 @@ func (d *Driver) Conversions() []*core.Conversion {
 						return nil, fmt.Errorf("spark.dfs-save: payload %T", in.Payload)
 					}
 					name := fmt.Sprintf("spill/spark-%p.jsonl", in)
-					if err := writeDFSQuanta(d.DFS, name, r.Collect()); err != nil {
+					if err := driverutil.WriteDFSQuanta(d.DFS, name, r.Collect()); err != nil {
 						return nil, err
 					}
 					return core.NewChannel(core.ChannelDescriptor{Name: "dfs", Reusable: true, AtRest: true}, dfs.Scheme+name, in.Card), nil
@@ -267,19 +267,15 @@ func (e *engine) FromChannel(ch *core.Channel) (driverutil.Data, error) {
 		}
 		return r, nil
 	case "collection", "file":
-		// Batch-native inputs (quanta files, segment-carrying datasets) keep
-		// their column batches; SplitSegments reproduces Partition's row
-		// boundaries exactly, so either carrier yields identical partitions.
-		if segs, ok, err := driverutil.ChannelSegments(ch); err != nil {
-			return nil, err
-		} else if ok {
-			return NewSegRDD(driverutil.SplitSegments(segs, e.width())), nil
-		}
-		data, err := driverutil.ChannelSlice(ch)
+		// Column batches stay native and slice payloads ride as one row
+		// segment; SplitSegments reproduces Partition's row boundaries
+		// exactly, and row access materializes a copy, so the caller's
+		// slice is never compacted in place.
+		segs, err := driverutil.ChannelSegments(ch)
 		if err != nil {
 			return nil, err
 		}
-		return Partition(data, e.width()), nil
+		return NewSegRDD(driverutil.SplitSegments(segs, e.width())), nil
 	case "dfs":
 		return e.driver.loadDFSQuanta(ch.Payload.(string))
 	default:
@@ -346,22 +342,11 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 	if agg := kernel.Agg(); agg != nil {
 		return e.applyChainAgg(kernel, r, counters, agg)
 	}
-	if segs := r.segments(); segs != nil {
-		out := make([][]any, len(segs))
-		pool(len(segs), e.width(), func(i int) {
-			counts := make([]int64, kernel.Len())
-			out[i] = kernel.RunSegments(segs[i], counts, nil)
-			for s, c := range counts {
-				atomic.AddInt64(counters[s], c)
-			}
-		})
-		return NewRDD(out), nil
-	}
-	r.materialize()
-	out := make([][]any, len(r.Parts))
-	pool(len(r.Parts), e.width(), func(i int) {
+	segs := r.partSegments()
+	out := make([][]any, len(segs))
+	pool(len(segs), e.width(), func(i int) {
 		counts := make([]int64, kernel.Len())
-		out[i] = kernel.Run(r.Parts[i], counts, nil)
+		out[i] = kernel.Run(segs[i], counts, nil)
 		for s, c := range counts {
 			atomic.AddInt64(counters[s], c)
 		}
@@ -377,21 +362,13 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 // group emission order — first occurrence per shuffled partition — is
 // identical however the chain executes.
 func (e *engine) applyChainAgg(kernel *driverutil.VectorKernel, r *RDD, counters []*int64, agg *core.ReduceExpr) (driverutil.Data, error) {
-	segs := r.segments()
+	segs := r.partSegments()
 	nparts := len(segs)
-	if segs == nil {
-		r.materialize()
-		nparts = len(r.Parts)
-	}
 	partials := make([][]any, nparts)
 	pool(nparts, e.width(), func(i int) {
 		counts := make([]int64, kernel.Len())
 		st := core.NewAggState(agg)
-		if segs != nil {
-			kernel.RunSegmentsAgg(segs[i], counts, st)
-		} else {
-			kernel.RunAgg(r.Parts[i], counts, st)
-		}
+		kernel.RunAgg(segs[i], counts, st)
 		partials[i] = st.Partials(nil)
 		for s, c := range counts {
 			atomic.AddInt64(counters[s], c)
@@ -794,36 +771,14 @@ func (d *Driver) loadDFSQuanta(path string) (*RDD, error) {
 		return nil, err
 	}
 	// Each block split is decoded by its own worker: binary frames for
-	// framed files, legacy JSON lines for files written before the binary
-	// codec existed. With the columnar plane on, column-batch frames stay
-	// batch-native per block; partition boundaries are the block splits
-	// either way, so both paths see identical rows per partition.
-	if core.ColumnarDisabled() {
-		parts := make([][]any, len(blocks))
-		var firstErr error
-		var mu sync.Mutex
-		pool(len(blocks), d.Conf.Parallelism, func(i int) {
-			part, err := driverutil.ReadDFSQuantaBlock(d.DFS, name, i)
-			if err == nil {
-				parts[i] = part
-				return
-			}
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		})
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		return NewRDD(parts), nil
-	}
+	// framed files (column-batch frames stay batch-native), legacy JSON
+	// lines for files written before the binary codec existed. Partition
+	// boundaries are the block splits however the quanta are carried.
 	segs := make([][]core.Segment, len(blocks))
 	var firstErr error
 	var mu sync.Mutex
 	pool(len(blocks), d.Conf.Parallelism, func(i int) {
-		part, err := driverutil.ReadDFSQuantaBlockSegments(d.DFS, name, i)
+		part, err := driverutil.ReadDFSQuantaBlock(d.DFS, name, i)
 		if err == nil {
 			segs[i] = part
 			return
@@ -838,10 +793,6 @@ func (d *Driver) loadDFSQuanta(path string) (*RDD, error) {
 		return nil, firstErr
 	}
 	return NewSegRDD(segs), nil
-}
-
-func writeDFSQuanta(store *dfs.Store, name string, data []any) error {
-	return driverutil.WriteDFSQuanta(store, name, data)
 }
 
 func maxInt(a, b int) int {

@@ -76,19 +76,12 @@ func (d *Driver) Conversions() []*core.Conversion {
 				// Keep decoded batch frames column-major: SegmentedDataset
 				// iterates as the same rows, and batch-aware consumers skip
 				// the rebuild.
-				if !core.ColumnarDisabled() {
-					segs, err := core.ReadQuantaFileSegments(in.Payload.(string))
-					if err != nil {
-						return nil, err
-					}
-					ds := core.NewSegmentedDataset(segs)
-					return core.NewChannel(core.CollectionChannel, ds, ds.Card()), nil
-				}
-				data, err := core.ReadQuantaFile(in.Payload.(string))
+				segs, err := core.ReadQuantaFile(in.Payload.(string))
 				if err != nil {
 					return nil, err
 				}
-				return core.NewChannel(core.CollectionChannel, core.NewSliceDataset(data), int64(len(data))), nil
+				ds := core.NewSegmentedDataset(segs)
+				return core.NewChannel(core.CollectionChannel, ds, ds.Card()), nil
 			},
 		},
 	}
@@ -103,7 +96,7 @@ func (d *Driver) Conversions() []*core.Conversion {
 						return nil, err
 					}
 					name := fmt.Sprintf("spill/%p.rqb", in)
-					if err := WriteDFSQuanta(d.DFS, name, data); err != nil {
+					if err := driverutil.WriteDFSQuanta(d.DFS, name, data); err != nil {
 						return nil, err
 					}
 					return core.NewChannel(DFSChannel, dfs.Scheme+name, int64(len(data))), nil
@@ -113,19 +106,12 @@ func (d *Driver) Conversions() []*core.Conversion {
 				Name: "streams.dfs-get", From: "dfs", To: "collection",
 				FixedCostMs: 4, PerQuantumMs: 0.005,
 				Convert: func(in *core.Channel) (*core.Channel, error) {
-					if !core.ColumnarDisabled() {
-						segs, err := driverutil.ReadDFSQuantaSegments(d.DFS, in.Payload.(string))
-						if err != nil {
-							return nil, err
-						}
-						ds := core.NewSegmentedDataset(segs)
-						return core.NewChannel(core.CollectionChannel, ds, ds.Card()), nil
-					}
-					data, err := ReadDFSQuanta(d.DFS, in.Payload.(string))
+					segs, err := driverutil.ReadDFSQuanta(d.DFS, in.Payload.(string))
 					if err != nil {
 						return nil, err
 					}
-					return core.NewChannel(core.CollectionChannel, core.NewSliceDataset(data), int64(len(data))), nil
+					ds := core.NewSegmentedDataset(segs)
+					return core.NewChannel(core.CollectionChannel, ds, ds.Card()), nil
 				},
 			},
 		)
@@ -136,18 +122,6 @@ func (d *Driver) Conversions() []*core.Conversion {
 // DFSChannel is the descriptor of DFS-resident encoded-quanta files. It is
 // declared here (the first driver that can produce it) but platform-neutral.
 var DFSChannel = core.ChannelDescriptor{Name: "dfs", Reusable: true, AtRest: true}
-
-// ReadDFSQuanta decodes a DFS file of encoded quanta as written by the
-// dfs-put conversions: framed binary, or one JSON document per line for
-// files predating the binary codec. The path may carry the dfs:// scheme.
-func ReadDFSQuanta(store *dfs.Store, path string) ([]any, error) {
-	return driverutil.ReadDFSQuanta(store, path)
-}
-
-// WriteDFSQuanta encodes quanta into a framed binary DFS file.
-func WriteDFSQuanta(store *dfs.Store, name string, data []any) error {
-	return driverutil.WriteDFSQuanta(store, name, data)
-}
 
 // RegisterMappings implements core.Driver.
 func (d *Driver) RegisterMappings(r *core.MappingRegistry) {
@@ -203,16 +177,14 @@ type pipe struct {
 	open func() core.Iterator
 	card int64 // -1 unknown
 
-	// segs, set only on source pipes built from batch-native channels,
-	// carries the quanta as column batches interleaved with row runs. open
-	// expands them lazily, so row consumers see the identical stream; the
-	// batch-aware ApplyChain reads segs directly.
+	// segs, set on pipes over materialized quanta (channel inputs and
+	// materialized results), carries them as column batches interleaved
+	// with row runs. open expands them lazily, so row consumers see the
+	// identical stream; ApplyChain hands segs to the kernel directly.
 	segs []core.Segment
 }
 
-func slicePipe(data []any) *pipe {
-	return &pipe{open: func() core.Iterator { return core.NewSliceDataset(data).Open() }, card: int64(len(data))}
-}
+func slicePipe(data []any) *pipe { return segPipe([]core.Segment{{Rows: data}}) }
 
 func segPipe(segs []core.Segment) *pipe {
 	ds := core.NewSegmentedDataset(segs)
@@ -230,34 +202,22 @@ type engine struct {
 func (e *engine) FromChannel(ch *core.Channel) (driverutil.Data, error) {
 	switch ch.Desc.Name {
 	case "collection", "file":
-		// Batch-native inputs keep their column batches; iteration order is
-		// identical to the row carrier either way.
-		if segs, ok, err := driverutil.ChannelSegments(ch); err != nil {
-			return nil, err
-		} else if ok {
-			return segPipe(segs), nil
-		}
-		data, err := driverutil.ChannelSlice(ch)
+		// Column batches stay native and slice payloads ride as one row
+		// segment; iteration order is identical whatever the carrier.
+		segs, err := driverutil.ChannelSegments(ch)
 		if err != nil {
 			return nil, err
 		}
-		return slicePipe(data), nil
+		return segPipe(segs), nil
 	case "dfs":
 		if e.driver.DFS == nil {
 			return nil, fmt.Errorf("streams: no DFS configured")
 		}
-		if !core.ColumnarDisabled() {
-			segs, err := driverutil.ReadDFSQuantaSegments(e.driver.DFS, ch.Payload.(string))
-			if err != nil {
-				return nil, err
-			}
-			return segPipe(segs), nil
-		}
-		data, err := ReadDFSQuanta(e.driver.DFS, ch.Payload.(string))
+		segs, err := driverutil.ReadDFSQuanta(e.driver.DFS, ch.Payload.(string))
 		if err != nil {
 			return nil, err
 		}
-		return slicePipe(data), nil
+		return segPipe(segs), nil
 	default:
 		return nil, fmt.Errorf("streams: unsupported input channel %q", ch.Desc.Name)
 	}
@@ -322,17 +282,17 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 	if !ok {
 		return nil, fmt.Errorf("streams: fused chain input is %T, not a pipeline", in)
 	}
+	segs := p.segs
+	if segs == nil {
+		segs = []core.Segment{{Rows: p.materialize()}}
+	}
 	counts := make([]int64, kernel.Len())
 	if agg := kernel.Agg(); agg != nil {
 		// Single partition: absorb everything, then finalize — no partial
 		// exchange needed. Emission order is the groups' first-occurrence
 		// order, exactly what the unfused row path produces.
 		st := core.NewAggState(agg)
-		if p.segs != nil {
-			kernel.RunSegmentsAgg(p.segs, counts, st)
-		} else {
-			kernel.RunAgg(p.materialize(), counts, st)
-		}
+		kernel.RunAgg(segs, counts, st)
 		out := st.Finalize(nil)
 		for s, c := range counts {
 			*counters[s] += c
@@ -340,12 +300,7 @@ func (e *engine) ApplyChain(chain *driverutil.FusedChain, kernel *driverutil.Vec
 		*counters[kernel.Len()] += int64(len(out))
 		return slicePipe(out), nil
 	}
-	var out []any
-	if p.segs != nil {
-		out = kernel.RunSegments(p.segs, counts, nil)
-	} else {
-		out = kernel.Run(p.materialize(), counts, nil)
-	}
+	out := kernel.Run(segs, counts, nil)
 	for s, c := range counts {
 		*counters[s] += c
 	}

@@ -146,6 +146,14 @@ type flight struct {
 	done chan struct{}
 }
 
+// closedFlight is the done channel of a claim on an already-resident entry:
+// there is nothing to wait for, only a re-probe to make.
+var closedFlight = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
 // New creates a Cache.
 func New(opts Options) *Cache {
 	if opts.MinCostMs == 0 {
@@ -514,12 +522,20 @@ func max64(a, b int64) int64 {
 // Release the claim (after Put, or on failure). Later claimants receive the
 // leader's done channel to wait on; once it closes they should re-probe —
 // a miss after waiting means the leader failed, and the follower should
-// claim again and compute itself (liveness under leader crash).
+// claim again and compute itself (liveness under leader crash). A claimant
+// that probed before a leader's Put and Release but claims after them finds
+// the entry resident (in RAM or the disk tier) and gets an already-closed
+// channel instead of leadership, so it re-probes rather than computing the
+// result a second time.
 func (c *Cache) Claim(fp string) (leader bool, done <-chan struct{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if f := c.flights[fp]; f != nil {
 		return false, f.done
+	}
+	c.sweepLocked() // an expired entry must not turn claimants away
+	if c.entries[fp] != nil || (c.spillOn() && c.spilled[fp] != nil) {
+		return false, closedFlight
 	}
 	f := &flight{done: make(chan struct{})}
 	c.flights[fp] = f

@@ -240,6 +240,34 @@ func TestSingleFlightComputeOnce(t *testing.T) {
 	}
 }
 
+// TestClaimAfterLeaderReleaseIsFollower replays the single-flight race
+// deterministically: a session probes and misses, the leader then stores
+// and releases, and only then does the session claim. It must not become a
+// second leader for an entry that is already cached.
+func TestClaimAfterLeaderReleaseIsFollower(t *testing.T) {
+	c := testCache(t, Options{})
+	if _, ok := c.Get("fp"); ok {
+		t.Fatal("hit on an empty cache")
+	}
+	if leader, _ := c.Claim("fp"); !leader {
+		t.Fatal("first claimant is not the leader")
+	}
+	c.Put("fp", []any{int64(42)}, 100, 8, nil)
+	c.Release("fp")
+	leader, done := c.Claim("fp")
+	if leader {
+		t.Fatal("claim after Put+Release became a second leader")
+	}
+	select {
+	case <-done:
+	default:
+		t.Fatal("claim on a resident entry returned a channel that never closes")
+	}
+	if _, ok := c.Get("fp"); !ok {
+		t.Fatal("re-probe after the claim missed")
+	}
+}
+
 // TestSingleFlightLeaderFailure: a leader that fails (releases without
 // Put) must not wedge followers — one of them takes over.
 func TestSingleFlightLeaderFailure(t *testing.T) {

@@ -27,6 +27,10 @@ go test -race $short ./...
 # Benchmark smoke: one iteration of the codec benchmarks, so they compile
 # and run even when nobody records numbers.
 go test -run=NONE -bench=BenchmarkEncodeQuantum -benchtime=1x ./internal/core
+# Decoder fuzz smoke: hostile bytes against the one quanta-stream decoder
+# (row, batch and dictionary frames, legacy JSON lines); accepted input must
+# survive a write/read round trip. Crashers land in internal/core/testdata/fuzz.
+go test -run=NONE -fuzz=FuzzReadQuantaStream -fuzztime=15s ./internal/core
 # Fusion smoke: one iteration of the fused narrow-chain benchmarks and of
 # the columnar agg-chain benchmark (the vectorized grouped-aggregation
 # kernel and its row twin both execute), plus the crosschecks of the fused
